@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "core/logging.h"
-#include "core/timer.h"
 
 namespace song::serve {
 
@@ -27,7 +26,7 @@ Status RequestQueue::Push(std::unique_ptr<PendingRequest>& request) {
 }
 
 size_t RequestQueue::PopBatch(std::unique_ptr<PendingRequest>* out,
-                              size_t max_batch, uint64_t max_wait_us) {
+                              size_t max_batch) {
   if (max_batch == 0) return 0;
   MutexLock lock(mu_);
   while (queue_.empty() && !closed_) nonempty_.Wait(mu_);
@@ -36,26 +35,17 @@ size_t RequestQueue::PopBatch(std::unique_ptr<PendingRequest>* out,
   const BatchKey key = KeyOf(*queue_.front());
   // song-lint: begin-hot-path(serve-batch-form)
   // Continuous batching under the queue mutex: every queued request and
-  // every other worker waits on this loop, so it is allocation- and
-  // logging-free. Sweep claims compatible requests in arrival order; the
-  // linger then blocks for the *remaining* slice of max_wait_us so late
-  // arrivals can top the batch up without a fixed-size wait.
-  Timer linger;
-  for (;;) {
-    for (auto it = queue_.begin(); it != queue_.end() && n < max_batch;) {
-      if (KeyOf(**it) == key) {
-        out[n] = std::move(*it);
-        ++n;
-        it = queue_.erase(it);
-      } else {
-        ++it;
-      }
+  // every other worker waits on this sweep, so it is allocation- and
+  // logging-free. It claims compatible requests in arrival order and
+  // leaves the rest queued for the next idle worker.
+  for (auto it = queue_.begin(); it != queue_.end() && n < max_batch;) {
+    if (KeyOf(**it) == key) {
+      out[n] = std::move(*it);
+      ++n;
+      it = queue_.erase(it);
+    } else {
+      ++it;
     }
-    if (n >= max_batch || closed_ || max_wait_us == 0) break;
-    const double elapsed = linger.ElapsedMicros();
-    const double budget = static_cast<double>(max_wait_us);
-    if (elapsed >= budget) break;
-    nonempty_.WaitFor(mu_, static_cast<uint64_t>(budget - elapsed));
   }
   // song-lint: end-hot-path
   return n;
@@ -81,11 +71,6 @@ std::vector<std::unique_ptr<PendingRequest>> RequestQueue::TakeAll() {
 size_t RequestQueue::Size() const {
   MutexLock lock(mu_);
   return queue_.size();
-}
-
-bool RequestQueue::closed() const {
-  MutexLock lock(mu_);
-  return closed_;
 }
 
 }  // namespace song::serve

@@ -4,13 +4,12 @@
 // of pending search requests, plus the continuous-batching claim primitive
 // the scheduler workers drive. Connection reader threads Push decoded
 // requests; scheduler workers PopBatch — claim the oldest request, sweep
-// every queued request that can share its batch (same k / ef / cost budget
-// and the same deadline-ness), then linger up to `max_wait_us` for more to
-// arrive instead of waiting for a fixed batch size. That linger is the
-// continuous-batching idea (ROADMAP item 1, after ScaleLLM and Johnson et
-// al.): batch occupancy rides the offered load, so light traffic pays
-// near-zero batching latency and heavy traffic fills max_batch-sized
-// batches.
+// every queued request that can share its batch (same k / ef / cost budget)
+// and return at once. There is no linger timer: an idle worker dispatches
+// what is queued the moment it arrives, so a batch grows only from the
+// backlog that builds while every worker is busy, and light traffic pays no
+// batching latency. The worker then searches its batch one request at a
+// time, so a claimed request also waits behind its earlier batchmates.
 //
 // Backpressure is explicit: Push on a full queue is kResourceExhausted and
 // Push after Close() is kUnavailable — the caller turns either into an
@@ -54,20 +53,17 @@ struct PendingRequest {
   std::shared_ptr<Connection> conn;
 };
 
-/// Requests may share a batch iff their key matches: one SongSearchOptions
-/// and one k serve the whole engine batch. `bounded_deadline` separates
-/// deadline-free requests from deadline-carrying ones so an unhurried
-/// request is never cut short by a batchmate's budget.
+/// Requests may share a batch iff their key matches: one k and one set of
+/// search options (ef, cost budget) serve the whole batch. Deadlines are
+/// not part of the key; each request searches on its own remaining budget.
 struct BatchKey {
   uint32_t k = 0;
   uint32_t queue_size = 0;
   uint64_t cost_budget = 0;
-  bool bounded_deadline = false;
 
   friend bool operator==(const BatchKey& a, const BatchKey& b) {
     return a.k == b.k && a.queue_size == b.queue_size &&
-           a.cost_budget == b.cost_budget &&
-           a.bounded_deadline == b.bounded_deadline;
+           a.cost_budget == b.cost_budget;
   }
 };
 
@@ -76,7 +72,6 @@ inline BatchKey KeyOf(const PendingRequest& request) {
   key.k = request.k;
   key.queue_size = request.queue_size;
   key.cost_budget = request.cost_budget;
-  key.bounded_deadline = request.deadline_us != 0;
   return key;
 }
 
@@ -92,11 +87,11 @@ class RequestQueue {
 
   /// Blocks until at least one request is queued (or the queue is closed
   /// and empty — returns 0, the worker-exit signal). Claims up to
-  /// `max_batch` requests compatible with the oldest one into `out[0..n)`,
-  /// lingering up to `max_wait_us` for late arrivals to join. `out` must
-  /// have room for `max_batch` entries.
-  size_t PopBatch(std::unique_ptr<PendingRequest>* out, size_t max_batch,
-                  uint64_t max_wait_us) SONG_EXCLUDES(mu_);
+  /// `max_batch` requests compatible with the oldest one into `out[0..n)`
+  /// and returns without waiting for more. `out` must have room for
+  /// `max_batch` entries.
+  size_t PopBatch(std::unique_ptr<PendingRequest>* out, size_t max_batch)
+      SONG_EXCLUDES(mu_);
 
   /// Drain entry: refuses new pushes; PopBatch keeps claiming until empty,
   /// then returns 0. Idempotent.
@@ -107,8 +102,6 @@ class RequestQueue {
   std::vector<std::unique_ptr<PendingRequest>> TakeAll() SONG_EXCLUDES(mu_);
 
   size_t Size() const SONG_EXCLUDES(mu_);
-  bool closed() const SONG_EXCLUDES(mu_);
-  size_t capacity() const { return capacity_; }
 
  private:
   const size_t capacity_;

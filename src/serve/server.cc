@@ -225,7 +225,7 @@ SongServer::SongServer(const SongSearcher* searcher,
     : searcher_(searcher),
       options_(options),
       registry_(registry),
-      engine_(searcher, options.engine_threads),
+      engine_(searcher, /*num_threads=*/1),
       flight_recorder_(options.flight_recorder_capacity),
       request_metrics_(registry),
       queue_(options.queue_capacity) {
@@ -535,132 +535,92 @@ void SongServer::AdmitRequest(SearchRequestFrame frame,
 
 void SongServer::WorkerLoop() {
   std::vector<std::unique_ptr<PendingRequest>> batch(options_.max_batch);
-  std::vector<size_t> live;
-  live.reserve(options_.max_batch);
   for (;;) {
-    const size_t n =
-        queue_.PopBatch(batch.data(), options_.max_batch, options_.max_wait_us);
+    const size_t n = queue_.PopBatch(batch.data(), options_.max_batch);
     if (n == 0) return;  // closed and drained
     if (g_queue_depth_ != nullptr) {
       g_queue_depth_->Set(static_cast<double>(queue_.Size()));
     }
     const double claim_us = NowUs();
-    live.clear();
+    for (size_t i = 0; i < n; ++i) batch[i]->batched_us = claim_us;
+    RunBatch(batch.data(), n);
+    for (size_t i = 0; i < n; ++i) batch[i].reset();
+  }
+}
+
+void SongServer::RunBatch(const std::unique_ptr<PendingRequest>* batch,
+                          size_t n) {
+  Bump(c_batches_);
+  if (h_batch_size_ != nullptr) {
+    h_batch_size_->Observe(static_cast<double>(n));
+  }
+  // Deterministic chaos: a whole-batch dispatch failure (lost engine,
+  // remote backend, ...). Settled as typed errors, never dropped.
+  if (fault::FaultRegistry::Global().ShouldFail("serve.dispatch")) {
+    const Status injected =
+        Status::Unavailable("injected fault: serve.dispatch");
     for (size_t i = 0; i < n; ++i) {
-      batch[i]->batched_us = claim_us;
-      if (batch[i]->deadline_at_us > 0.0 &&
-          claim_us >= batch[i]->deadline_at_us) {
-        // Expired while queued: answer without searching. The deadline
-        // covers the request's whole server-side life, queue wait included.
-        SettleRequest(
-            batch[i].get(),
-            Status::DeadlineExceeded("deadline expired in queue after " +
-                                     std::to_string(static_cast<uint64_t>(
-                                         claim_us - batch[i]->enqueue_us)) +
-                                     " us"),
-            Outcome::kDeadline, nullptr, /*degraded=*/false,
-            /*rejected=*/false, claim_us, claim_us);
-        batch[i].reset();
-      } else {
-        live.push_back(i);
-      }
-    }
-    if (live.empty()) continue;
-    Bump(c_batches_);
-    if (h_batch_size_ != nullptr) {
-      h_batch_size_->Observe(static_cast<double>(live.size()));
-    }
-
-    // Deterministic chaos: a whole-batch dispatch failure (lost engine,
-    // remote backend, ...). Settled as typed errors, never dropped.
-    if (fault::FaultRegistry::Global().ShouldFail("serve.dispatch")) {
-      const Status injected =
-          Status::Unavailable("injected fault: serve.dispatch");
-      for (const size_t i : live) {
-        const double now = NowUs();
-        SettleRequest(batch[i].get(), injected, Outcome::kError, nullptr,
-                      /*degraded=*/false, /*rejected=*/false, now, now);
-        batch[i].reset();
-      }
-      continue;
-    }
-
-    const PendingRequest& head = *batch[live[0]];
-    const size_t k = head.k;
-    SongSearchOptions opts = options_.base_options;
-    opts.queue_size = head.queue_size;
-    opts.cost_budget = head.cost_budget;
-    opts.deadline_us = 0;
-    if (head.deadline_us != 0) {
-      // All batchmates carry deadlines (BatchKey::bounded_deadline); the
-      // engine enforces the tightest remaining one for the whole batch.
-      double min_remaining_us = 0.0;
-      bool first = true;
       const double now = NowUs();
-      for (const size_t i : live) {
-        const double remaining = batch[i]->deadline_at_us - now;
-        if (first || remaining < min_remaining_us) {
-          min_remaining_us = remaining;
-          first = false;
-        }
-      }
-      opts.deadline_us = static_cast<uint64_t>(
-          std::max(1.0, min_remaining_us));
+      SettleRequest(batch[i].get(), injected, Outcome::kError, nullptr,
+                    /*degraded=*/false, /*rejected=*/false, now, now);
     }
+    return;
+  }
+  // One engine call per request, in claim order: each response leaves as
+  // soon as its own search ends, and a deadline request searches on its own
+  // remaining budget, never on a batchmate's.
+  for (size_t i = 0; i < n; ++i) {
+    PendingRequest* request = batch[i].get();
+    const double now = NowUs();
+    if (request->deadline_at_us <= 0.0) {
+      Dispatch(request, /*deadline_us=*/0);
+    } else if (now >= request->deadline_at_us) {
+      // The deadline covers the request's whole server-side life: queue
+      // wait and the wait behind earlier batchmates included.
+      SettleRequest(request,
+                    Status::DeadlineExceeded(
+                        "deadline expired before search after " +
+                        std::to_string(static_cast<uint64_t>(
+                            now - request->enqueue_us)) +
+                        " us"),
+                    Outcome::kDeadline, nullptr, /*degraded=*/false,
+                    /*rejected=*/false, now, now);
+    } else {
+      Dispatch(request, static_cast<uint64_t>(
+                            std::max(1.0, request->deadline_at_us - now)));
+    }
+  }
+}
 
-    Dataset queries(live.size(), searcher_->data().dim());
-    for (size_t j = 0; j < live.size(); ++j) {
-      queries.SetRow(static_cast<idx_t>(j), batch[live[j]]->query.data());
-    }
-
-    const double dispatch_us = NowUs();
-    for (const size_t i : live) {
-      batch[i]->batched_us = claim_us;
-    }
-    BatchTelemetry telemetry;
-    telemetry.registry = registry_;
-    // The server stamps its own RequestTimeline covering the full network
-    // lifecycle; engine-level per-request records would double-count.
-    telemetry.request_lifecycle = false;
-    BatchAdmission admission;
-    admission.max_inflight = options_.max_inflight;
-    StatusOr<BatchResult> result =
-        engine_.TrySearch(queries, k, opts, telemetry, admission);
-    if (!result.ok()) {
-      const bool shed =
-          result.status().code() == StatusCode::kResourceExhausted;
-      // Over-inflight sheds are retryable: kUnavailable on the wire.
-      const Status settled =
-          shed ? Status::Unavailable(result.status().message())
-               : result.status();
-      for (const size_t i : live) {
-        SettleRequest(batch[i].get(), settled,
-                      shed ? Outcome::kShed : Outcome::kError, nullptr,
-                      /*degraded=*/false, /*rejected=*/false, dispatch_us,
-                      NowUs());
-        batch[i].reset();
-      }
-      continue;
-    }
-    const BatchResult& br = result.value();
-    const double end_us = NowUs();
-    for (size_t j = 0; j < live.size(); ++j) {
-      PendingRequest* request = batch[live[j]].get();
-      if (br.rejected[j] != 0) {
-        SettleRequest(request,
-                      Status::InvalidArgument(
-                          "query rejected by validation (NaN/Inf values)"),
-                      Outcome::kError, nullptr, /*degraded=*/false,
-                      /*rejected=*/true, dispatch_us, end_us);
-      } else {
-        const double complete_us =
-            dispatch_us + static_cast<double>(br.latencies_us[j]);
-        SettleRequest(request, Status::OK(), Outcome::kOk, &br.results[j],
-                      br.degraded[j] != 0, /*rejected=*/false, dispatch_us,
-                      std::min(complete_us, end_us));
-      }
-      batch[live[j]].reset();
-    }
+void SongServer::Dispatch(PendingRequest* request, uint64_t deadline_us) {
+  SongSearchOptions opts = options_.base_options;
+  opts.queue_size = request->queue_size;
+  opts.cost_budget = request->cost_budget;
+  opts.deadline_us = deadline_us;
+  Dataset queries(1, searcher_->data().dim());
+  queries.SetRow(0, request->query.data());
+  BatchTelemetry telemetry;
+  telemetry.registry = registry_;
+  // The server stamps its own RequestTimeline covering the full network
+  // lifecycle; engine-level per-request records would double-count.
+  telemetry.request_lifecycle = false;
+  const double begin_us = NowUs();
+  StatusOr<BatchResult> result =
+      engine_.TrySearch(queries, request->k, opts, telemetry);
+  const double end_us = NowUs();
+  if (!result.ok()) {
+    SettleRequest(request, result.status(), Outcome::kError, nullptr,
+                  /*degraded=*/false, /*rejected=*/false, begin_us, end_us);
+  } else if (result.value().rejected[0] != 0) {
+    SettleRequest(request,
+                  Status::InvalidArgument(
+                      "query rejected by validation (NaN/Inf values)"),
+                  Outcome::kError, nullptr, /*degraded=*/false,
+                  /*rejected=*/true, begin_us, end_us);
+  } else {
+    SettleRequest(request, Status::OK(), Outcome::kOk,
+                  &result.value().results[0], result.value().degraded[0] != 0,
+                  /*rejected=*/false, begin_us, end_us);
   }
 }
 
@@ -748,9 +708,6 @@ std::string SongServer::ServeStatusJson() const {
   Appendf(&out, "\"queue_depth\": %zu, ", queue_.Size());
   Appendf(&out, "\"queue_capacity\": %zu, ", options_.queue_capacity);
   Appendf(&out, "\"max_batch\": %zu, ", options_.max_batch);
-  Appendf(&out, "\"max_wait_us\": %llu, ",
-          static_cast<unsigned long long>(options_.max_wait_us));
-  Appendf(&out, "\"max_inflight\": %zu, ", options_.max_inflight);
   Appendf(&out, "\"num_workers\": %zu, ", options_.num_workers);
   Appendf(&out, "\"accepted\": %llu, ",
           static_cast<unsigned long long>(c.accepted));

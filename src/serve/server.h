@@ -10,12 +10,12 @@
 //
 // Threads: one accept loop, one reader + one writer per connection, and
 // `num_workers` scheduler workers. Readers decode frames and Push; workers
-// PopBatch (continuous batching), triage queue-expired deadlines, dispatch
-// through BatchEngine::TrySearch, and settle every claimed request. Writers
-// drain per-connection outboxes so a slow client stalls only its own
-// socket, never a scheduler worker. A client disconnect does not lose
-// accounting: the request still settles (its response write fails and is
-// counted in song.serve.write_errors).
+// PopBatch (dispatch when idle), then search each claimed request inline
+// through a one-thread BatchEngine::TrySearch on its own deadline budget
+// and settle it (an already-expired one settles without searching). Writers drain per-connection outboxes so a slow client
+// stalls only its own socket, never a scheduler worker. A client
+// disconnect does not lose accounting: the request still settles (its
+// response write fails and is counted in song.serve.write_errors).
 //
 // Drain (SIGTERM/SIGINT in the song_server binary): RequestDrain() stops
 // admission — readers shed new search requests with kUnavailable — then
@@ -27,6 +27,7 @@
 #ifndef SONG_SERVE_SERVER_H_
 #define SONG_SERVE_SERVER_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -53,11 +54,9 @@ struct ServerOptions {
   size_t max_connections = 64;
   size_t queue_capacity = 256;   ///< pending requests before shedding
   size_t max_batch = 32;         ///< scheduler batch ceiling
-  uint64_t max_wait_us = 2000;   ///< continuous-batching linger
-  size_t num_workers = 2;        ///< scheduler threads (0 = test-only: queue
-                                 ///< drains as shed at Drain())
-  size_t engine_threads = 0;     ///< BatchEngine workers, 0 = hardware
-  size_t max_inflight = 0;       ///< engine admission (0 = unlimited)
+  /// Scheduler threads, each running its claimed batch inline; defaults to
+  /// the core count (0 = test-only: the queue drains as shed at Drain()).
+  size_t num_workers = std::max(1u, std::thread::hardware_concurrency());
   int io_timeout_ms = 5000;      ///< slow-client read/write bound
   uint32_t default_queue_size = 64;  ///< ef when a request sends 0
   size_t flight_recorder_capacity = 512;
@@ -123,7 +122,6 @@ class SongServer {
   std::string StatuszPayload() const;
 
   obs::FlightRecorder& flight_recorder() { return flight_recorder_; }
-  obs::MetricsRegistry* registry() const { return registry_; }
   const ServerOptions& options() const { return options_; }
 
  private:
@@ -131,13 +129,20 @@ class SongServer {
 
   /// The outcome taxonomy behind song.serve.outcome.*: kOk includes
   /// degraded-but-answered; kShed is admission-related refusal (queue full,
-  /// draining, engine over-inflight) and always retryable; kDeadline is a
-  /// budget that expired while queued; kError is everything else
+  /// draining) and always retryable; kDeadline is a budget that expired
+  /// before the request's search began; kError is everything else
   /// (validation, decode, injected faults, engine failures).
   enum class Outcome { kOk, kShed, kDeadline, kError };
 
   void AcceptLoop();
   void WorkerLoop();
+  /// Searches and settles one claimed batch `batch[0..n)` on the calling
+  /// worker's thread, one engine call per request; a request whose deadline
+  /// has passed by its turn settles kDeadline without reaching the engine.
+  void RunBatch(const std::unique_ptr<PendingRequest>* batch, size_t n);
+  /// Runs one request as a one-query inline engine call with `deadline_us`
+  /// as its budget (0 = none) and settles it.
+  void Dispatch(PendingRequest* request, uint64_t deadline_us);
   /// Sweeps finished connections (joins their threads). `all` waits for
   /// and joins every connection (drain path).
   void ReapConnections(bool all);

@@ -1,8 +1,11 @@
 // Tests for the serving tier's admission queue and continuous-batching
 // claim primitive (src/serve/request_queue.h): FIFO claim order, key
-// compatibility grouping, the linger that tops up in-flight batches,
-// explicit backpressure (full / closed), and the drain protocol.
+// compatibility grouping, dispatch when idle (no linger) with batches
+// formed from the backlog, explicit backpressure (full / closed), and the
+// drain protocol.
 
+#include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -33,7 +36,7 @@ TEST(RequestQueue, ClaimsInArrivalOrder) {
     ASSERT_TRUE(queue.Push(r).ok());
   }
   std::vector<std::unique_ptr<PendingRequest>> out(8);
-  const size_t n = queue.PopBatch(out.data(), 8, /*max_wait_us=*/0);
+  const size_t n = queue.PopBatch(out.data(), 8);
   ASSERT_EQ(n, 5u);
   for (uint64_t i = 0; i < 5; ++i) EXPECT_EQ(out[i]->request_id, i);
   EXPECT_EQ(queue.Size(), 0u);
@@ -74,70 +77,84 @@ TEST(RequestQueue, IncompatibleKeysStayQueued) {
   ASSERT_TRUE(queue.Push(b).ok());
   ASSERT_TRUE(queue.Push(c).ok());
   std::vector<std::unique_ptr<PendingRequest>> out(8);
-  size_t n = queue.PopBatch(out.data(), 8, 0);
+  size_t n = queue.PopBatch(out.data(), 8);
   ASSERT_EQ(n, 2u);  // 1 and 3 share the key; 2 must wait its turn
   EXPECT_EQ(out[0]->request_id, 1u);
   EXPECT_EQ(out[1]->request_id, 3u);
-  n = queue.PopBatch(out.data(), 8, 0);
+  n = queue.PopBatch(out.data(), 8);
   ASSERT_EQ(n, 1u);
   EXPECT_EQ(out[0]->request_id, 2u);
 }
 
-TEST(RequestQueue, DeadlineFreeNeverBatchesWithDeadlineCarrying) {
+TEST(RequestQueue, DeadlinesDoNotSplitABatch) {
+  // Each claimed request searches on its own budget, so deadline-free and
+  // deadline-carrying requests with one k / ef share a batch.
   RequestQueue queue(8);
   auto a = MakeRequest(1, 10, 64, /*deadline_us=*/0);
   auto b = MakeRequest(2, 10, 64, /*deadline_us=*/500);
   ASSERT_TRUE(queue.Push(a).ok());
   ASSERT_TRUE(queue.Push(b).ok());
   std::vector<std::unique_ptr<PendingRequest>> out(8);
-  const size_t n = queue.PopBatch(out.data(), 8, 0);
-  ASSERT_EQ(n, 1u);
-  EXPECT_EQ(out[0]->request_id, 1u);
-}
-
-TEST(RequestQueue, LingerPicksUpLateArrivals) {
-  RequestQueue queue(8);
-  auto first = MakeRequest(1);
-  ASSERT_TRUE(queue.Push(first).ok());
-  std::thread late([&queue]() {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    auto r = MakeRequest(2);
-    ASSERT_TRUE(queue.Push(r).ok());
-  });
-  std::vector<std::unique_ptr<PendingRequest>> out(8);
-  // A generous linger (500 ms) so the 5 ms late arrival lands well inside
-  // it even on a loaded CI machine; the batch must contain both.
-  const size_t n = queue.PopBatch(out.data(), 8, 500000);
-  late.join();
+  const size_t n = queue.PopBatch(out.data(), 8);
   ASSERT_EQ(n, 2u);
   EXPECT_EQ(out[0]->request_id, 1u);
   EXPECT_EQ(out[1]->request_id, 2u);
 }
 
-TEST(RequestQueue, ZeroLingerReturnsImmediately) {
+TEST(RequestQueue, IdleQueueClaimsWithoutWaiting) {
   RequestQueue queue(8);
-  auto r = MakeRequest(1);
-  ASSERT_TRUE(queue.Push(r).ok());
-  Timer timer;
+  std::atomic<size_t> claimed{0};
   std::vector<std::unique_ptr<PendingRequest>> out(8);
-  const size_t n = queue.PopBatch(out.data(), 8, 0);
-  EXPECT_EQ(n, 1u);
-  EXPECT_LT(timer.ElapsedMicros(), 100000.0);
+  // The worker is already blocked on the empty queue when the request
+  // arrives, as an idle server worker is.
+  std::thread worker([&queue, &out, &claimed]() {
+    claimed.store(queue.PopBatch(out.data(), 8));
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  auto first = MakeRequest(1);
+  ASSERT_TRUE(queue.Push(first).ok());
+  // The claim must return holding just this request: nothing else is
+  // queued and nothing else is pushed until it has returned.
+  Timer wait;
+  while (claimed.load() == 0 && wait.ElapsedSeconds() < 10.0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const size_t n = claimed.load();
+  if (n == 0) queue.Close();  // release a worker that kept waiting
+  worker.join();
+  ASSERT_EQ(n, 1u);
+  EXPECT_EQ(out[0]->request_id, 1u);
+  auto second = MakeRequest(2);
+  ASSERT_TRUE(queue.Push(second).ok());
+  EXPECT_EQ(queue.Size(), 1u);
 }
 
-TEST(RequestQueue, FullBatchSkipsTheLinger) {
-  RequestQueue queue(8);
-  for (uint64_t i = 0; i < 3; ++i) {
-    auto r = MakeRequest(i);
+TEST(RequestQueue, BacklogIsClaimedAsOneCompatibleBatchCappedAtMaxBatch) {
+  RequestQueue queue(16);
+  // Arrival order: A0 B1 A2 A3 B4 A5 A6, where B has another ef.
+  const uint32_t efs[] = {64, 128, 64, 64, 128, 64, 64};
+  for (uint64_t i = 0; i < 7; ++i) {
+    auto r = MakeRequest(i, /*k=*/10, efs[i]);
     ASSERT_TRUE(queue.Push(r).ok());
   }
-  Timer timer;
-  std::vector<std::unique_ptr<PendingRequest>> out(3);
-  // max_batch already satisfied by queued work: the (long) linger must not
-  // be paid at all.
-  const size_t n = queue.PopBatch(out.data(), 3, 5000000);
-  EXPECT_EQ(n, 3u);
-  EXPECT_LT(timer.ElapsedMicros(), 1000000.0);
+  std::vector<std::unique_ptr<PendingRequest>> out(4);
+  // The backlog is swept in one claim: the oldest request's key, arrival
+  // order, stopping at max_batch = 4.
+  size_t n = queue.PopBatch(out.data(), 4);
+  ASSERT_EQ(n, 4u);
+  EXPECT_EQ(out[0]->request_id, 0u);
+  EXPECT_EQ(out[1]->request_id, 2u);
+  EXPECT_EQ(out[2]->request_id, 3u);
+  EXPECT_EQ(out[3]->request_id, 5u);
+  EXPECT_EQ(queue.Size(), 3u);
+  n = queue.PopBatch(out.data(), 4);
+  ASSERT_EQ(n, 2u);
+  EXPECT_EQ(out[0]->request_id, 1u);
+  EXPECT_EQ(out[1]->request_id, 4u);
+  n = queue.PopBatch(out.data(), 4);
+  ASSERT_EQ(n, 1u);
+  EXPECT_EQ(out[0]->request_id, 6u);
+  EXPECT_EQ(queue.Size(), 0u);
 }
 
 TEST(RequestQueue, CloseWakesBlockedWorkers) {
@@ -148,7 +165,7 @@ TEST(RequestQueue, CloseWakesBlockedWorkers) {
   for (int w = 0; w < 3; ++w) {
     workers.emplace_back([&queue, &exited]() {
       std::vector<std::unique_ptr<PendingRequest>> out(4);
-      while (queue.PopBatch(out.data(), 4, 1000) != 0) {
+      while (queue.PopBatch(out.data(), 4) != 0) {
         for (auto& r : out) r.reset();
       }
       exited.fetch_add(1);
@@ -187,7 +204,7 @@ TEST(RequestQueue, ConcurrentPushersAndClaimersConserveRequests) {
     claimers.emplace_back([&]() {
       std::vector<std::unique_ptr<PendingRequest>> out(16);
       for (;;) {
-        const size_t n = queue.PopBatch(out.data(), 16, 200);
+        const size_t n = queue.PopBatch(out.data(), 16);
         if (n == 0) return;  // closed and empty
         claimed.fetch_add(n);
         for (size_t i = 0; i < n; ++i) out[i].reset();

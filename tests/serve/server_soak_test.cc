@@ -12,6 +12,7 @@
 // serve-soak leg runs 60 s under ASan and TSan).
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -144,10 +145,8 @@ TEST(ServeSoak, ChaosTrafficConservesEveryOutcome) {
 
   ServerOptions options;
   options.num_workers = 2;
-  options.engine_threads = 2;
   options.queue_capacity = 64;  // small enough that bursts hit the shed path
   options.max_batch = 8;
-  options.max_wait_us = 500;
   options.io_timeout_ms = 2000;
   obs::MetricsRegistry registry;
   SongServer server(&searcher, options, &registry);
@@ -212,7 +211,6 @@ TEST(ServeSoak, RepeatedDrainCyclesStayClean) {
   for (int cycle = 0; cycle < 5; ++cycle) {
     ServerOptions options;
     options.num_workers = 1;
-    options.engine_threads = 1;
     SongServer server(&searcher, options, /*registry=*/nullptr);
     ASSERT_TRUE(server.Start().ok());
     const int fd = ConnectLoopback(server.port());

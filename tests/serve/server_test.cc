@@ -13,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -143,13 +144,25 @@ std::vector<float> QueryRow(size_t i) {
   return std::vector<float>(row, row + fx.queries.dim());
 }
 
+/// ef for requests that keep a worker busy: a queue this deep explores most
+/// of the 1500-point fixture, so each search is long next to a frame decode.
+constexpr uint32_t kBusyEf = 1024;
+
+/// Sends `count` deadline-free kBusyEf requests (tags from `first_tag`).
+/// Workers dispatch when idle, so a test that needs later requests to sit
+/// queued keeps its single worker busy with these instead of a timer.
+void SendBusyWork(TestClient* client, uint64_t first_tag, size_t count) {
+  for (size_t i = 0; i < count; ++i) {
+    ASSERT_TRUE(client->SendSearch(first_tag + i, QueryRow(i), 10, kBusyEf)
+                    .ok());
+  }
+}
+
 TEST(ServeServer, ResultsMatchDirectEngineRun) {
   const ServeFixture& fx = ServeFixture::Get();
   const SongSearcher searcher(&fx.data, &fx.graph, Metric::kL2);
   ServerOptions options;
   options.num_workers = 1;
-  options.engine_threads = 1;
-  options.max_wait_us = 0;  // no linger: deterministic single-query batches
   obs::MetricsRegistry registry;
   SongServer server(&searcher, options, &registry);
   ASSERT_TRUE(server.Start().ok());
@@ -221,24 +234,80 @@ TEST(ServeServer, ExpiredDeadlineSettlesAsDeadlineOutcome) {
   const SongSearcher searcher(&fx.data, &fx.graph, Metric::kL2);
   ServerOptions options;
   options.num_workers = 1;
-  // The 20 ms linger guarantees the claim happens long after a 1 us
-  // deadline expired, making the queue-expiry path deterministic.
-  options.max_wait_us = 20000;
   obs::MetricsRegistry registry;
   SongServer server(&searcher, options, &registry);
   ASSERT_TRUE(server.Start().ok());
 
   TestClient client(server.port());
+  // The single worker is busy with the earlier requests when the 1 us
+  // deadline request is queued, so it is claimed long after it expired.
+  constexpr size_t kBusy = 32;
+  SendBusyWork(&client, /*first_tag=*/100, kBusy);
   ASSERT_TRUE(client.SendSearch(9, QueryRow(0), 10, 0, /*deadline_us=*/1)
                   .ok());
-  const auto response = client.ReadResponse();
-  ASSERT_TRUE(response.ok()) << response.status().ToString();
-  EXPECT_EQ(response.value().status_code,
-            static_cast<int32_t>(StatusCode::kDeadlineExceeded));
-  EXPECT_TRUE(response.value().results.empty());
+  bool seen = false;
+  for (size_t i = 0; i < kBusy + 1; ++i) {
+    const auto response = client.ReadResponse();
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    if (response.value().client_tag != 9) {
+      EXPECT_EQ(response.value().status_code, 0);
+      continue;
+    }
+    seen = true;
+    EXPECT_EQ(response.value().status_code,
+              static_cast<int32_t>(StatusCode::kDeadlineExceeded));
+    EXPECT_TRUE(response.value().results.empty());
+  }
+  EXPECT_TRUE(seen);
   ASSERT_TRUE(server.Drain().ok());
   const ServeCounterSnapshot c = server.counters();
   EXPECT_EQ(c.deadline, 1u);
+  EXPECT_EQ(c.ok, kBusy);
+  ExpectConservation(server);
+}
+
+TEST(ServeServer, MixedDeadlineBatchmatesKeepTheirOwnBudgets) {
+  const ServeFixture& fx = ServeFixture::Get();
+  const SongSearcher searcher(&fx.data, &fx.graph, Metric::kL2);
+  ServerOptions options;
+  options.num_workers = 1;
+  options.max_batch = 256;
+  options.queue_capacity = 512;
+  obs::MetricsRegistry registry;
+  SongServer server(&searcher, options, &registry);
+  ASSERT_TRUE(server.Start().ok());
+
+  // A burst of deadline-carrying requests that share one BatchKey: tight
+  // budgets from 1.5 ms to 4 ms in 25 us steps, then one request with a
+  // whole minute. Whatever batch the minute request lands in, some
+  // batchmate has only microseconds left when that batch is claimed; that
+  // budget is the batchmate's own and must not cut the minute request's
+  // search short.
+  TestClient client(server.port());
+  constexpr uint64_t kTight = 101;
+  for (uint64_t tag = 0; tag < kTight; ++tag) {
+    ASSERT_TRUE(client.SendSearch(tag, QueryRow(tag), 10, kBusyEf,
+                                  /*deadline_us=*/1500 + 25 * tag)
+                    .ok());
+  }
+  constexpr uint64_t kLoose = 1000;
+  ASSERT_TRUE(client.SendSearch(kLoose, QueryRow(0), 10, kBusyEf,
+                                /*deadline_us=*/60000000)
+                  .ok());
+  bool seen = false;
+  for (uint64_t i = 0; i <= kTight; ++i) {
+    const auto response = client.ReadResponse();
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    if (response.value().client_tag != kLoose) continue;
+    seen = true;
+    EXPECT_EQ(response.value().status_code, 0);
+    EXPECT_FALSE(response.value().degraded)
+        << "a batchmate's tight deadline cut the minute-budget search short";
+    EXPECT_EQ(response.value().results.size(), 10u);
+  }
+  EXPECT_TRUE(seen);
+  ASSERT_TRUE(server.Drain().ok());
+  EXPECT_EQ(server.counters().accepted, kTight + 1);
   ExpectConservation(server);
 }
 
@@ -383,29 +452,37 @@ TEST(ServeServer, MidFlightDisconnectStillSettlesEveryRequest) {
   const SongSearcher searcher(&fx.data, &fx.graph, Metric::kL2);
   ServerOptions options;
   options.num_workers = 1;
-  options.max_wait_us = 10000;  // requests sit in the linger window
   obs::MetricsRegistry registry;
   SongServer server(&searcher, options, &registry);
   ASSERT_TRUE(server.Start().ok());
 
+  constexpr uint64_t kBusy = 128;
+  constexpr uint64_t kRequests = kBusy + 4;
   {
     TestClient client(server.port());
+    // The busy work holds the single worker, so the four requests behind
+    // it are still queued when the client vanishes.
+    SendBusyWork(&client, /*first_tag=*/100, kBusy);
     for (uint64_t tag = 0; tag < 4; ++tag) {
       ASSERT_TRUE(client.SendSearch(tag, QueryRow(tag), 5).ok());
     }
-    // Wait until the server has decoded (accepted) all four — only then is
-    // "vanish with requests in flight" the scenario under test.
+    // Wait until the server has decoded (accepted) every request — only
+    // then is "vanish with requests in flight" the scenario under test.
     Timer wait;
-    while (server.counters().accepted < 4 &&
+    while (server.counters().accepted < kRequests &&
            wait.ElapsedSeconds() < 10.0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    ASSERT_EQ(server.counters().accepted, 4u);
-    client.AbruptClose();  // vanish with 4 requests in flight
+    const ServeCounterSnapshot c = server.counters();
+    ASSERT_EQ(c.accepted, kRequests);
+    ASSERT_LT(c.ok + c.shed + c.deadline + c.error, kRequests)
+        << "every request settled before the disconnect";
+    client.AbruptClose();  // vanish with requests in flight
   }
   ASSERT_TRUE(server.Drain().ok());
   const ServeCounterSnapshot c = server.counters();
-  EXPECT_EQ(c.accepted, 4u);
+  EXPECT_EQ(c.accepted, kRequests);
+  EXPECT_EQ(c.ok, kRequests);
   ExpectConservation(server);
 }
 

@@ -287,6 +287,15 @@ if [ -n "$SERVER" ] && [ -n "$LOADGEN" ]; then
         --workers 0 >/dev/null 2>"$SERVE_ERR" || CODE=$?
   [ "$CODE" -eq 2 ] && grep -q "workers must be >= 1" "$SERVE_ERR" || {
     echo "FAIL: --workers 0 not rejected (exit $CODE)" >&2; exit 1; }
+  # The scheduler has no linger, engine pool or engine admission to tune:
+  # their old flags are unknown now.
+  for removed in max-wait-us engine-threads max-inflight; do
+    CODE=0
+    "$SERVER" --data "$DIR/data.sngd" --graph "$DIR/graph.sngg" \
+          --$removed 1 >/dev/null 2>"$SERVE_ERR" || CODE=$?
+    [ "$CODE" -eq 2 ] && grep -q "unknown flag --$removed" "$SERVE_ERR" || {
+      echo "FAIL: removed --$removed not rejected (exit $CODE)" >&2; exit 1; }
+  done
   CODE=0
   "$LOADGEN" --port 1 --dim 4 --mode open >/dev/null 2>"$SERVE_ERR" \
         || CODE=$?

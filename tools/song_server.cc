@@ -4,18 +4,19 @@
 //               [--host 127.0.0.1] [--port 0] [--port-file path]
 //               [--metric l2|ip|cosine] [--config hashtable|sel|seldel|
 //                bloom|cuckoo]
-//               [--max-batch 32] [--max-wait-us 2000] [--queue-capacity 256]
-//               [--max-inflight N] [--max-connections 64] [--workers 2]
-//               [--engine-threads 0] [--io-timeout-ms 5000]
-//               [--default-queue-size 64]
+//               [--max-batch 32] [--queue-capacity 256]
+//               [--max-connections 64] [--workers <cores>]
+//               [--io-timeout-ms 5000] [--default-queue-size 64]
 //               [--fault-spec spec] [--fault-seed N]
 //               [--statusz-on-exit out.json] [--duration-s N]
 //
-// Listens for SNGF frames (src/serve/frame.h), batches requests through the
-// continuous-batching scheduler and answers every accepted request with a
-// typed Status. Prints "LISTENING port=N" once accepting (and writes the
-// port to --port-file if given) so harnesses can wait for readiness without
-// racing the bind.
+// Listens for SNGF frames (src/serve/frame.h) and answers every accepted
+// request with a typed Status. Each of the --workers scheduler threads
+// claims whatever compatible requests are queued the moment it is idle and
+// searches them inline, one at a time; --queue-capacity is the admission
+// bound. Prints "LISTENING port=N" once accepting (and writes the port to
+// --port-file if given) so harnesses can wait for readiness without racing
+// the bind.
 //
 // Shutdown: SIGTERM or SIGINT (or --duration-s elapsing) triggers the
 // graceful drain — stop accepting, flush the queue, answer everything in
@@ -141,9 +142,8 @@ int main(int argc, char** argv) {
   Flags flags = ParseFlags(argc, argv, 1);
   CheckFlags(flags,
              {"data", "graph", "host", "port", "port-file", "metric",
-              "config", "max-batch", "max-wait-us", "queue-capacity",
-              "max-inflight", "max-connections", "workers", "engine-threads",
-              "io-timeout-ms", "default-queue-size", "fault-spec",
+              "config", "max-batch", "queue-capacity", "max-connections",
+              "workers", "io-timeout-ms", "default-queue-size", "fault-spec",
               "fault-seed", "statusz-on-exit", "duration-s"});
 
   const std::string fault_spec = Optional(flags, "fault-spec", "");
@@ -182,10 +182,8 @@ int main(int argc, char** argv) {
   options.max_connections = ParseUint(flags, "max-connections", "64");
   options.queue_capacity = ParseUint(flags, "queue-capacity", "256");
   options.max_batch = ParseUint(flags, "max-batch", "32");
-  options.max_wait_us = ParseUint(flags, "max-wait-us", "2000");
-  options.num_workers = ParseUint(flags, "workers", "2");
-  options.engine_threads = ParseUint(flags, "engine-threads", "0");
-  options.max_inflight = ParseUint(flags, "max-inflight", "0");
+  options.num_workers =
+      ParseUint(flags, "workers", std::to_string(options.num_workers));
   options.io_timeout_ms =
       static_cast<int>(ParseUint(flags, "io-timeout-ms", "5000"));
   options.default_queue_size = static_cast<uint32_t>(
