@@ -156,7 +156,7 @@ StatusOr<SearchRequestFrame> DecodeSearchRequest(const uint8_t* payload,
   }
   if (dim > kMaxQueryDim) {
     // Validate the claimed count against the bound (and below against the
-    // actual byte count) before the vector resize, Dataset::Load-style.
+    // actual byte count) before the vector resize, as the .sngd loader does.
     return Status::DataLoss("search request claims dim " +
                             std::to_string(dim) + ", limit is " +
                             std::to_string(kMaxQueryDim));

@@ -17,7 +17,7 @@
 //        8     4  payload length in bytes (<= kMaxFramePayload)
 //
 // Hostile lengths are rejected *before* any allocation, the same discipline
-// Dataset::Load applies to .sngd headers: a claimed payload larger than
+// the .sngd loader applies to its headers: a claimed payload larger than
 // kMaxFramePayload is kDataLoss, not a 4 GiB vector resize. Truncated
 // payloads, length/field mismatches and reserved-bit violations are all
 // typed Status errors — the server never crashes on a byte stream, it

@@ -32,20 +32,15 @@ size_t RequestQueue::PopBatch(std::unique_ptr<PendingRequest>* out,
   while (queue_.empty() && !closed_) nonempty_.Wait(mu_);
   if (queue_.empty()) return 0;  // closed and drained: worker-exit signal
   size_t n = 0;
-  const BatchKey key = KeyOf(*queue_.front());
   // song-lint: begin-hot-path(serve-batch-form)
-  // Continuous batching under the queue mutex: every queued request and
-  // every other worker waits on this sweep, so it is allocation- and
-  // logging-free. It claims compatible requests in arrival order and
-  // leaves the rest queued for the next idle worker.
-  for (auto it = queue_.begin(); it != queue_.end() && n < max_batch;) {
-    if (KeyOf(**it) == key) {
-      out[n] = std::move(*it);
-      ++n;
-      it = queue_.erase(it);
-    } else {
-      ++it;
-    }
+  // The claim runs under the queue mutex: every queued request and every
+  // other worker waits on it, so it is allocation- and logging-free. It
+  // takes the oldest requests in arrival order and leaves the rest queued
+  // for the next idle worker.
+  while (n < max_batch && !queue_.empty()) {
+    out[n] = std::move(queue_.front());
+    queue_.pop_front();
+    ++n;
   }
   // song-lint: end-hot-path
   return n;

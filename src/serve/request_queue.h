@@ -3,13 +3,14 @@
 // The serving tier's admission queue: a bounded, lock-annotated MPMC queue
 // of pending search requests, plus the continuous-batching claim primitive
 // the scheduler workers drive. Connection reader threads Push decoded
-// requests; scheduler workers PopBatch — claim the oldest request, sweep
-// every queued request that can share its batch (same k / ef / cost budget)
-// and return at once. There is no linger timer: an idle worker dispatches
-// what is queued the moment it arrives, so a batch grows only from the
-// backlog that builds while every worker is busy, and light traffic pays no
-// batching latency. The worker then searches its batch one request at a
-// time, so a claimed request also waits behind its earlier batchmates.
+// requests; scheduler workers PopBatch — claim up to `max_batch` of the
+// oldest queued requests in arrival order and return at once. There is no
+// linger timer: an idle worker dispatches what is queued the moment it
+// arrives, so a batch grows only from the backlog that builds while every
+// worker is busy, and light traffic pays no batching latency. Claimed
+// requests share nothing but the worker: it searches them one at a time,
+// each with its own k, ef, cost budget and deadline, so a claimed request
+// also waits behind its earlier batchmates.
 //
 // Backpressure is explicit: Push on a full queue is kResourceExhausted and
 // Push after Close() is kUnavailable — the caller turns either into an
@@ -26,6 +27,7 @@
 
 #include "core/status.h"
 #include "core/sync.h"
+#include "song/search_options.h"
 
 namespace song::serve {
 
@@ -39,9 +41,9 @@ struct PendingRequest {
   uint64_t request_id = 0;   ///< server-assigned, monotonic (telemetry id)
   uint64_t client_tag = 0;   ///< echoed to the client verbatim
   uint32_t k = 0;
-  uint32_t queue_size = 0;   ///< resolved ef (server default already applied)
-  uint64_t deadline_us = 0;  ///< client budget, 0 = none
-  uint64_t cost_budget = 0;  ///< search work-unit budget, 0 = none
+  /// The server's base options with the wire's ef (server default already
+  /// applied), cost budget and client deadline (0 = none).
+  SongSearchOptions options;
   std::vector<float> query;
   double enqueue_us = 0.0;   ///< frame decoded
   double admitted_us = 0.0;  ///< queue accepted it (admission passed)
@@ -52,28 +54,6 @@ struct PendingRequest {
   /// client disconnects mid-flight. Null in queue-level tests.
   std::shared_ptr<Connection> conn;
 };
-
-/// Requests may share a batch iff their key matches: one k and one set of
-/// search options (ef, cost budget) serve the whole batch. Deadlines are
-/// not part of the key; each request searches on its own remaining budget.
-struct BatchKey {
-  uint32_t k = 0;
-  uint32_t queue_size = 0;
-  uint64_t cost_budget = 0;
-
-  friend bool operator==(const BatchKey& a, const BatchKey& b) {
-    return a.k == b.k && a.queue_size == b.queue_size &&
-           a.cost_budget == b.cost_budget;
-  }
-};
-
-inline BatchKey KeyOf(const PendingRequest& request) {
-  BatchKey key;
-  key.k = request.k;
-  key.queue_size = request.queue_size;
-  key.cost_budget = request.cost_budget;
-  return key;
-}
 
 class RequestQueue {
  public:
@@ -86,9 +66,9 @@ class RequestQueue {
   Status Push(std::unique_ptr<PendingRequest>& request) SONG_EXCLUDES(mu_);
 
   /// Blocks until at least one request is queued (or the queue is closed
-  /// and empty — returns 0, the worker-exit signal). Claims up to
-  /// `max_batch` requests compatible with the oldest one into `out[0..n)`
-  /// and returns without waiting for more. `out` must have room for
+  /// and empty — returns 0, the worker-exit signal). Claims the oldest
+  /// `max_batch` (or fewer) requests in arrival order into `out[0..n)` and
+  /// returns without waiting for more. `out` must have room for
   /// `max_batch` entries.
   size_t PopBatch(std::unique_ptr<PendingRequest>* out, size_t max_batch)
       SONG_EXCLUDES(mu_);

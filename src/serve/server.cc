@@ -225,9 +225,9 @@ SongServer::SongServer(const SongSearcher* searcher,
     : searcher_(searcher),
       options_(options),
       registry_(registry),
-      engine_(searcher, /*num_threads=*/1),
       flight_recorder_(options.flight_recorder_capacity),
       request_metrics_(registry),
+      search_metrics_(registry, options.base_options.quant),
       queue_(options.queue_capacity) {
   SONG_CHECK(searcher != nullptr);
   if (registry_ != nullptr) {
@@ -469,10 +469,11 @@ void SongServer::AdmitRequest(SearchRequestFrame frame,
   request->request_id = request_seq_.fetch_add(1, std::memory_order_relaxed);
   request->client_tag = frame.client_tag;
   request->k = frame.k;
-  request->queue_size =
+  request->options = options_.base_options;
+  request->options.queue_size =
       frame.queue_size != 0 ? frame.queue_size : options_.default_queue_size;
-  request->deadline_us = frame.deadline_us;
-  request->cost_budget = frame.cost_budget;
+  request->options.deadline_us = frame.deadline_us;
+  request->options.cost_budget = frame.cost_budget;
   request->query = std::move(frame.query);
   request->enqueue_us = NowUs();
   request->deadline_at_us =
@@ -482,27 +483,16 @@ void SongServer::AdmitRequest(SearchRequestFrame frame,
   request->conn = conn;
   conn->NoteIssued();
 
-  // Per-request validation up front: one hostile request must never poison
-  // batchmates or occupy a queue slot.
-  Status invalid = Status::OK();
-  if (request->query.size() != searcher_->data().dim()) {
-    invalid = Status::InvalidArgument(
-        "query dim " + std::to_string(request->query.size()) +
-        " does not match index dim " +
-        std::to_string(searcher_->data().dim()));
-  } else if (request->k == 0) {
-    invalid = Status::InvalidArgument("k must be >= 1");
-  } else if (request->k > searcher_->data().num()) {
-    invalid = Status::InvalidArgument(
-        "k = " + std::to_string(request->k) + " exceeds the dataset size " +
-        std::to_string(searcher_->data().num()));
-  } else if (std::max<size_t>(request->queue_size, request->k) >
-             SongSearcher::kMaxQueueSize) {
-    invalid = Status::InvalidArgument(
-        "effective queue size " +
-        std::to_string(std::max<size_t>(request->queue_size, request->k)) +
-        " exceeds the limit " + std::to_string(SongSearcher::kMaxQueueSize));
-  }
+  // Per-request validation up front (k, ef, NaN/Inf values): an invalid
+  // request never occupies a queue slot.
+  const Status invalid =
+      request->query.size() != searcher_->data().dim()
+          ? Status::InvalidArgument(
+                "query dim " + std::to_string(request->query.size()) +
+                " does not match index dim " +
+                std::to_string(searcher_->data().dim()))
+          : searcher_->ValidateRequest(request->query.data(), request->k,
+                                       request->options);
   if (!invalid.ok()) {
     const double now = NowUs();
     SettleRequest(request.get(), invalid, Outcome::kError, nullptr,
@@ -535,6 +525,7 @@ void SongServer::AdmitRequest(SearchRequestFrame frame,
 
 void SongServer::WorkerLoop() {
   std::vector<std::unique_ptr<PendingRequest>> batch(options_.max_batch);
+  SongWorkspace workspace;
   for (;;) {
     const size_t n = queue_.PopBatch(batch.data(), options_.max_batch);
     if (n == 0) return;  // closed and drained
@@ -543,18 +534,18 @@ void SongServer::WorkerLoop() {
     }
     const double claim_us = NowUs();
     for (size_t i = 0; i < n; ++i) batch[i]->batched_us = claim_us;
-    RunBatch(batch.data(), n);
+    RunBatch(batch.data(), n, &workspace);
     for (size_t i = 0; i < n; ++i) batch[i].reset();
   }
 }
 
 void SongServer::RunBatch(const std::unique_ptr<PendingRequest>* batch,
-                          size_t n) {
+                          size_t n, SongWorkspace* workspace) {
   Bump(c_batches_);
   if (h_batch_size_ != nullptr) {
     h_batch_size_->Observe(static_cast<double>(n));
   }
-  // Deterministic chaos: a whole-batch dispatch failure (lost engine,
+  // Deterministic chaos: a whole-batch dispatch failure (lost index,
   // remote backend, ...). Settled as typed errors, never dropped.
   if (fault::FaultRegistry::Global().ShouldFail("serve.dispatch")) {
     const Status injected =
@@ -566,61 +557,45 @@ void SongServer::RunBatch(const std::unique_ptr<PendingRequest>* batch,
     }
     return;
   }
-  // One engine call per request, in claim order: each response leaves as
-  // soon as its own search ends, and a deadline request searches on its own
+  // One search per request, in claim order: each response leaves as soon
+  // as its own search ends, and a deadline request searches on its own
   // remaining budget, never on a batchmate's.
   for (size_t i = 0; i < n; ++i) {
     PendingRequest* request = batch[i].get();
-    const double now = NowUs();
-    if (request->deadline_at_us <= 0.0) {
-      Dispatch(request, /*deadline_us=*/0);
-    } else if (now >= request->deadline_at_us) {
-      // The deadline covers the request's whole server-side life: queue
-      // wait and the wait behind earlier batchmates included.
-      SettleRequest(request,
-                    Status::DeadlineExceeded(
-                        "deadline expired before search after " +
-                        std::to_string(static_cast<uint64_t>(
-                            now - request->enqueue_us)) +
-                        " us"),
-                    Outcome::kDeadline, nullptr, /*degraded=*/false,
-                    /*rejected=*/false, now, now);
-    } else {
-      Dispatch(request, static_cast<uint64_t>(
-                            std::max(1.0, request->deadline_at_us - now)));
+    SongSearchOptions opts = request->options;
+    const double begin_us = NowUs();
+    if (request->deadline_at_us > 0.0) {
+      if (begin_us >= request->deadline_at_us) {
+        // The deadline covers the request's whole server-side life: queue
+        // wait and the wait behind earlier batchmates included.
+        SettleRequest(request,
+                      Status::DeadlineExceeded(
+                          "deadline expired before search after " +
+                          std::to_string(static_cast<uint64_t>(
+                              begin_us - request->enqueue_us)) +
+                          " us"),
+                      Outcome::kDeadline, nullptr, /*degraded=*/false,
+                      /*rejected=*/false, begin_us, begin_us);
+        continue;
+      }
+      opts.deadline_us = static_cast<uint64_t>(
+          std::max(1.0, request->deadline_at_us - begin_us));
     }
-  }
-}
-
-void SongServer::Dispatch(PendingRequest* request, uint64_t deadline_us) {
-  SongSearchOptions opts = options_.base_options;
-  opts.queue_size = request->queue_size;
-  opts.cost_budget = request->cost_budget;
-  opts.deadline_us = deadline_us;
-  Dataset queries(1, searcher_->data().dim());
-  queries.SetRow(0, request->query.data());
-  BatchTelemetry telemetry;
-  telemetry.registry = registry_;
-  // The server stamps its own RequestTimeline covering the full network
-  // lifecycle; engine-level per-request records would double-count.
-  telemetry.request_lifecycle = false;
-  const double begin_us = NowUs();
-  StatusOr<BatchResult> result =
-      engine_.TrySearch(queries, request->k, opts, telemetry);
-  const double end_us = NowUs();
-  if (!result.ok()) {
-    SettleRequest(request, result.status(), Outcome::kError, nullptr,
-                  /*degraded=*/false, /*rejected=*/false, begin_us, end_us);
-  } else if (result.value().rejected[0] != 0) {
-    SettleRequest(request,
-                  Status::InvalidArgument(
-                      "query rejected by validation (NaN/Inf values)"),
-                  Outcome::kError, nullptr, /*degraded=*/false,
-                  /*rejected=*/true, begin_us, end_us);
-  } else {
-    SettleRequest(request, Status::OK(), Outcome::kOk,
-                  &result.value().results[0], result.value().degraded[0] != 0,
-                  /*rejected=*/false, begin_us, end_us);
+    SearchStats stats;
+    bool degraded = false;
+    StatusOr<std::vector<Neighbor>> result =
+        searcher_->TrySearch(request->query.data(), request->k, opts,
+                             workspace, &stats, /*trace=*/nullptr, &degraded);
+    const double end_us = NowUs();
+    if (!result.ok()) {
+      SettleRequest(request, result.status(), Outcome::kError, nullptr,
+                    /*degraded=*/false, /*rejected=*/true, begin_us, end_us);
+      continue;
+    }
+    search_metrics_.ObserveLatencyUs(end_us - begin_us);
+    search_metrics_.Record(stats, /*queries=*/1);
+    SettleRequest(request, Status::OK(), Outcome::kOk, &result.value(),
+                  degraded, /*rejected=*/false, begin_us, end_us);
   }
 }
 
@@ -638,12 +613,8 @@ void SongServer::SettleRequest(PendingRequest* request, const Status& status,
   timeline.search_begin_us = std::max(search_begin_us, timeline.batched_us);
   timeline.complete_us = std::max(complete_us, timeline.search_begin_us);
 
-  SongSearchOptions effective = options_.base_options;
-  effective.queue_size = request->queue_size;
-  effective.deadline_us = request->deadline_us;
-  effective.cost_budget = request->cost_budget;
   const obs::RequestRecord record = obs::RequestRecord::Make(
-      request->request_id, effective.Digest(request->k), timeline,
+      request->request_id, request->options.Digest(request->k), timeline,
       status.code(), degraded, rejected);
   request_metrics_.Record(record);
   flight_recorder_.Record(record);

@@ -1,21 +1,24 @@
 // Copyright 2026 The SONG-Repro Authors.
 //
 // The fault-tolerant serving front-end (docs/serving.md): a framed TCP
-// server wrapping BatchEngine behind the admission queue and a
-// continuous-batching scheduler. Design contract — every failure path is a
+// server wrapping SongSearcher behind the admission queue and a
+// dispatch-when-idle scheduler. Design contract — every failure path is a
 // Status, never a crash, and every accepted request settles in exactly one
 // accounted outcome:
 //
 //   song.serve.accepted == song.serve.outcome.ok + .shed + .deadline + .error
 //
 // Threads: one accept loop, one reader + one writer per connection, and
-// `num_workers` scheduler workers. Readers decode frames and Push; workers
-// PopBatch (dispatch when idle), then search each claimed request inline
-// through a one-thread BatchEngine::TrySearch on its own deadline budget
-// and settle it (an already-expired one settles without searching). Writers drain per-connection outboxes so a slow client
-// stalls only its own socket, never a scheduler worker. A client
-// disconnect does not lose accounting: the request still settles (its
-// response write fails and is counted in song.serve.write_errors).
+// `num_workers` scheduler workers. Readers decode frames, validate them
+// (SongSearcher::ValidateRequest plus the dim check) and Push; workers
+// PopBatch (dispatch when idle), then search each claimed request on their
+// own thread through SongSearcher::TrySearch with the worker's one
+// SongWorkspace and the request's own remaining deadline budget, and settle
+// it (an already-expired one settles without searching). Writers drain
+// per-connection outboxes so a slow client stalls only its own socket,
+// never a scheduler worker. A client disconnect does not lose accounting:
+// the request still settles (its response write fails and is counted in
+// song.serve.write_errors).
 //
 // Drain (SIGTERM/SIGINT in the song_server binary): RequestDrain() stops
 // admission — readers shed new search requests with kUnavailable — then
@@ -43,7 +46,6 @@
 #include "obs/request_timeline.h"
 #include "serve/frame.h"
 #include "serve/request_queue.h"
-#include "song/batch_engine.h"
 #include "song/song_searcher.h"
 
 namespace song::serve {
@@ -131,18 +133,17 @@ class SongServer {
   /// degraded-but-answered; kShed is admission-related refusal (queue full,
   /// draining) and always retryable; kDeadline is a budget that expired
   /// before the request's search began; kError is everything else
-  /// (validation, decode, injected faults, engine failures).
+  /// (validation, decode, injected faults, search failures).
   enum class Outcome { kOk, kShed, kDeadline, kError };
 
   void AcceptLoop();
   void WorkerLoop();
   /// Searches and settles one claimed batch `batch[0..n)` on the calling
-  /// worker's thread, one engine call per request; a request whose deadline
-  /// has passed by its turn settles kDeadline without reaching the engine.
-  void RunBatch(const std::unique_ptr<PendingRequest>* batch, size_t n);
-  /// Runs one request as a one-query inline engine call with `deadline_us`
-  /// as its budget (0 = none) and settles it.
-  void Dispatch(PendingRequest* request, uint64_t deadline_us);
+  /// worker's thread, one search per request in claim order on its own
+  /// remaining deadline budget, reusing the worker's `workspace`; a request
+  /// whose deadline has passed by its turn settles kDeadline unsearched.
+  void RunBatch(const std::unique_ptr<PendingRequest>* batch, size_t n,
+                SongWorkspace* workspace);
   /// Sweeps finished connections (joins their threads). `all` waits for
   /// and joins every connection (drain path).
   void ReapConnections(bool all);
@@ -171,9 +172,9 @@ class SongServer {
   const SongSearcher* searcher_;
   const ServerOptions options_;
   obs::MetricsRegistry* registry_;
-  BatchEngine engine_;
   obs::FlightRecorder flight_recorder_;
   obs::RequestMetrics request_metrics_;
+  SearchMetrics search_metrics_;
   RequestQueue queue_;
   Timer clock_;  ///< server epoch; all RequestTimeline stamps use it
 

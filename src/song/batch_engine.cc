@@ -4,7 +4,6 @@
 #include <thread>
 #include <utility>
 
-#include "core/simd.h"
 #include "core/thread_pool.h"
 #include "core/timer.h"
 
@@ -17,82 +16,25 @@ namespace {
 /// streams a small run instead of interleaving query-by-query.
 constexpr size_t kQueryChunk = 8;
 
-/// Batch-level counters and occupancy/latency distributions. Counter names
-/// deliberately mirror the hop/probe metrics the baselines emit
-/// (hnsw.search.*, ivfpq.search.*) so SONG-vs-baseline dashboards line up.
+/// Batch-level metrics (song.batch.* throughput and shape, trace sampling)
+/// plus the batch's search work through a SearchMetrics sink.
 void RecordBatchMetrics(const BatchResult& batch,
                         const SongSearchOptions& options,
                         obs::MetricsRegistry* registry) {
   if (registry == nullptr) return;
   registry->GetCounter("song.batch.batches").Increment();
-  registry->GetCounter("song.batch.queries").Increment(batch.num_queries);
   registry->GetGauge("song.batch.wall_seconds").Set(batch.wall_seconds);
   registry->GetGauge("song.batch.qps").Set(batch.Qps());
   registry->GetGauge("song.batch.queue_size")
       .Set(static_cast<double>(options.queue_size));
-  // Which distance tier Stage 2 dispatched to (0=scalar, 1=avx2, 2=avx512);
-  // lets deployments confirm the SIMD path is live from telemetry alone.
-  registry->GetGauge("song.search.simd_tier")
-      .Set(static_cast<double>(ActiveSimdTier()));
 
-  obs::Histogram& latency = registry->GetHistogram("song.query.latency_us");
+  const SearchMetrics search_metrics(registry, options.quant);
   for (const float us : batch.latencies_us) {
-    latency.Observe(static_cast<double>(us));
+    search_metrics.ObserveLatencyUs(static_cast<double>(us));
   }
-
-  const SearchStats& s = batch.stats;
-  registry->GetCounter("song.search.iterations").Increment(s.iterations);
-  registry->GetCounter("song.search.hops").Increment(s.vertices_expanded);
-  registry->GetCounter("song.search.distance_computations")
-      .Increment(s.distance_computations);
-  registry->GetCounter("song.search.graph_rows_loaded")
-      .Increment(s.graph_rows_loaded);
-  registry->GetCounter("song.search.graph_bytes_loaded")
-      .Increment(s.graph_bytes_loaded);
-  registry->GetCounter("song.search.data_bytes_loaded")
-      .Increment(s.data_bytes_loaded);
-  registry->GetCounter("song.search.q_pushes").Increment(s.q_pushes);
-  registry->GetCounter("song.search.q_pops").Increment(s.q_pops);
-  registry->GetCounter("song.search.q_evictions").Increment(s.q_evictions);
-  registry->GetCounter("song.search.q_rejections").Increment(s.q_rejections);
-  registry->GetCounter("song.search.topk_pushes").Increment(s.topk_pushes);
-  registry->GetCounter("song.search.topk_evictions")
-      .Increment(s.topk_evictions);
-  registry->GetCounter("song.search.visited_tests").Increment(s.visited_tests);
-  registry->GetCounter("song.search.visited_insertions")
-      .Increment(s.visited_insertions);
-  registry->GetCounter("song.search.visited_deletions")
-      .Increment(s.visited_deletions);
-  registry->GetCounter("song.search.visited_insert_failures")
-      .Increment(s.visited_insert_failures);
-  registry->GetCounter("song.search.selected_insertion_skips")
-      .Increment(s.selected_insertion_skips);
-  registry->GetCounter("song.search.degraded")
-      .Increment(batch.queries_degraded);
+  search_metrics.Record(batch.stats, batch.num_queries);
   registry->GetCounter("song.batch.rejected_queries")
       .Increment(batch.queries_rejected);
-  registry->GetGauge("song.search.visited_capacity_bytes")
-      .Set(static_cast<double>(s.visited_capacity_bytes));
-  registry->GetGauge("song.search.peak_visited_size")
-      .Set(static_cast<double>(s.peak_visited_size));
-
-  // Quantized-traversal telemetry: emitted only when the batch ran with
-  // quant != kNone, so exact-search deployments see an unchanged metric set.
-  if (options.quant != QuantizationMode::kNone) {
-    registry->GetCounter("song.search.quant.adc_tables")
-        .Increment(s.adc_tables_built);
-    registry->GetCounter("song.search.quant.adc_table_build_ns")
-        .Increment(s.adc_table_build_ns);
-    registry->GetCounter("song.search.quant.rerank_candidates")
-        .Increment(s.rerank_candidates);
-    registry->GetCounter("song.search.quant.rerank_bytes_loaded")
-        .Increment(s.rerank_bytes_loaded);
-    if (batch.num_queries > 0) {
-      registry->GetGauge("song.search.quant.rerank_pool_size")
-          .Set(static_cast<double>(s.rerank_candidates) /
-               static_cast<double>(batch.num_queries));
-    }
-  }
 
   registry->GetCounter("song.trace.sampled").Increment(batch.traces.size());
   registry->GetCounter("song.trace.dropped").Increment(batch.traces_dropped);
@@ -138,9 +80,8 @@ StatusOr<BatchResult> BatchEngine::TrySearch(
   // Request lifecycle (enqueue stamp + ids + per-stage histograms) is armed
   // only when telemetry asks for it; otherwise this path is stamp-free and
   // results/allocations match the pre-lifecycle engine exactly.
-  const bool lifecycle_on =
-      telemetry.request_lifecycle && (telemetry.registry != nullptr ||
-                                      telemetry.flight_recorder != nullptr);
+  const bool lifecycle_on = telemetry.registry != nullptr ||
+                            telemetry.flight_recorder != nullptr;
   Timer clock;  // epoch: request arrival (the enqueue stamp is 0)
   const uint64_t id_base =
       lifecycle_on ? request_seq_.fetch_add(
@@ -166,34 +107,16 @@ StatusOr<BatchResult> BatchEngine::TrySearch(
     }
   };
 
-  if (queries.dim() != searcher_->data().dim()) {
-    Status status = Status::InvalidArgument(
-        "query dim " + std::to_string(queries.dim()) +
-        " does not match index dim " +
-        std::to_string(searcher_->data().dim()));
-    record_refusal(status, /*rejected=*/true);
-    return status;
-  }
-  if (k == 0) {
-    Status status = Status::InvalidArgument("k must be >= 1");
-    record_refusal(status, /*rejected=*/true);
-    return status;
-  }
-  if (k > searcher_->data().num()) {
-    Status status = Status::InvalidArgument(
-        "k = " + std::to_string(k) + " exceeds the dataset size " +
-        std::to_string(searcher_->data().num()));
-    record_refusal(status, /*rejected=*/true);
-    return status;
-  }
-  const size_t ef = std::max(options.queue_size, k);
-  if (ef > SongSearcher::kMaxQueueSize) {
-    Status status = Status::ResourceExhausted(
-        "effective queue size " + std::to_string(ef) +
-        " exceeds the admission limit " +
-        std::to_string(SongSearcher::kMaxQueueSize));
-    record_refusal(status, /*rejected=*/true);
-    return status;
+  const Status invalid =
+      queries.dim() != searcher_->data().dim()
+          ? Status::InvalidArgument(
+                "query dim " + std::to_string(queries.dim()) +
+                " does not match index dim " +
+                std::to_string(searcher_->data().dim()))
+          : searcher_->ValidateOptions(k, options);
+  if (!invalid.ok()) {
+    record_refusal(invalid, /*rejected=*/true);
+    return invalid;
   }
 
   if (admission.max_inflight > 0) {

@@ -49,12 +49,6 @@ struct BatchTelemetry {
   /// Only the checked TrySearch path records (Search stays lifecycle-free),
   /// and each record is one wait-free, allocation-free ring write.
   obs::FlightRecorder* flight_recorder = nullptr;
-  /// When false, TrySearch skips per-request records and song.req.* stage
-  /// histograms even with a registry/recorder set. The serving tier sets
-  /// this: it stamps its own RequestTimeline covering the full network
-  /// lifecycle, and engine-level records would double-count each request.
-  /// Batch-level metrics (song.batch.*) are unaffected.
-  bool request_lifecycle = true;
 };
 
 struct BatchResult {
@@ -116,8 +110,8 @@ class BatchEngine {
                      const SongSearchOptions& options,
                      const BatchTelemetry& telemetry) const;
 
-  /// Checked batch search for serving: validates the batch shape and
-  /// options up front (dim mismatch, k = 0, oversized queue), applies
+  /// Checked batch search: validates the batch shape and options up front
+  /// (dim mismatch, SongSearcher::ValidateOptions), applies
   /// admission control (`admission.max_inflight`), and screens each query
   /// for NaN/Inf — a bad query is recorded in `rejected` with an empty
   /// result list instead of poisoning the batch. A shed batch returns

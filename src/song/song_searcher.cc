@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <string>
 #include <utility>
+
+#include "core/simd.h"
 
 namespace song {
 
@@ -44,6 +47,42 @@ struct PqAdcDistanceFn {
   }
   void Prefetch(idx_t v) const { pqd->PrefetchCode(v); }
 };
+
+/// SearchStats counter fields and their metric names. Names mirror the
+/// hop/probe metrics the baselines emit (hnsw.search.*, ivfpq.search.*), so
+/// SONG-vs-baseline dashboards line up; the quant.* rows come last.
+constexpr struct {
+  const char* name;
+  size_t SearchStats::*field;
+} kStatsCounters[] = {
+    {"song.search.iterations", &SearchStats::iterations},
+    {"song.search.hops", &SearchStats::vertices_expanded},
+    {"song.search.distance_computations", &SearchStats::distance_computations},
+    {"song.search.graph_rows_loaded", &SearchStats::graph_rows_loaded},
+    {"song.search.graph_bytes_loaded", &SearchStats::graph_bytes_loaded},
+    {"song.search.data_bytes_loaded", &SearchStats::data_bytes_loaded},
+    {"song.search.q_pushes", &SearchStats::q_pushes},
+    {"song.search.q_pops", &SearchStats::q_pops},
+    {"song.search.q_evictions", &SearchStats::q_evictions},
+    {"song.search.q_rejections", &SearchStats::q_rejections},
+    {"song.search.topk_pushes", &SearchStats::topk_pushes},
+    {"song.search.topk_evictions", &SearchStats::topk_evictions},
+    {"song.search.visited_tests", &SearchStats::visited_tests},
+    {"song.search.visited_insertions", &SearchStats::visited_insertions},
+    {"song.search.visited_deletions", &SearchStats::visited_deletions},
+    {"song.search.visited_insert_failures",
+     &SearchStats::visited_insert_failures},
+    {"song.search.selected_insertion_skips",
+     &SearchStats::selected_insertion_skips},
+    // One per search a deadline or cost budget cut short.
+    {"song.search.degraded", &SearchStats::budget_terminations},
+    {"song.search.quant.adc_tables", &SearchStats::adc_tables_built},
+    {"song.search.quant.adc_table_build_ns", &SearchStats::adc_table_build_ns},
+    {"song.search.quant.rerank_candidates", &SearchStats::rerank_candidates},
+    {"song.search.quant.rerank_bytes_loaded",
+     &SearchStats::rerank_bytes_loaded},
+};
+constexpr size_t kNumQuantCounters = 4;
 
 }  // namespace
 
@@ -204,7 +243,7 @@ Status SongSearcher::ValidateQuery(const float* query) const {
   return Status::OK();
 }
 
-Status SongSearcher::ValidateRequest(const float* query, size_t k,
+Status SongSearcher::ValidateOptions(size_t k,
                                      const SongSearchOptions& options) const {
   if (k == 0) {
     return Status::InvalidArgument("k must be >= 1");
@@ -229,6 +268,12 @@ Status SongSearcher::ValidateRequest(const float* query, size_t k,
         "SongSearcher::EnablePq (or load a .sngq codebook) on a static "
         "index first; mutable-index snapshots serve exact search only");
   }
+  return Status::OK();
+}
+
+Status SongSearcher::ValidateRequest(const float* query, size_t k,
+                                     const SongSearchOptions& options) const {
+  SONG_RETURN_IF_ERROR(ValidateOptions(k, options));
   return ValidateQuery(query);
 }
 
@@ -260,6 +305,46 @@ StatusOr<std::vector<Neighbor>> SongSearcher::TrySearch(
                          /*rejected=*/false);
   if (degraded != nullptr) *degraded = local_degraded;
   return result;
+}
+
+SearchMetrics::SearchMetrics(obs::MetricsRegistry* registry,
+                             QuantizationMode quant) {
+  static_assert(std::size(kStatsCounters) == kNumStatsCounters);
+  if (registry == nullptr) return;
+  latency_us_ = &registry->GetHistogram("song.query.latency_us");
+  queries_ = &registry->GetCounter("song.batch.queries");
+  const bool quantized = quant != QuantizationMode::kNone;
+  const size_t resolved =
+      quantized ? kNumStatsCounters : kNumStatsCounters - kNumQuantCounters;
+  for (size_t i = 0; i < resolved; ++i) {
+    stats_[i] = &registry->GetCounter(kStatsCounters[i].name);
+  }
+  // Which distance tier Stage 2 dispatches to (0=scalar, 1=avx2, 2=avx512);
+  // lets deployments confirm the SIMD path is live from telemetry alone.
+  registry->GetGauge("song.search.simd_tier")
+      .Set(static_cast<double>(ActiveSimdTier()));
+  visited_capacity_bytes_ =
+      &registry->GetGauge("song.search.visited_capacity_bytes");
+  peak_visited_size_ = &registry->GetGauge("song.search.peak_visited_size");
+  if (quantized) {
+    rerank_pool_size_ =
+        &registry->GetGauge("song.search.quant.rerank_pool_size");
+  }
+}
+
+void SearchMetrics::Record(const SearchStats& stats, size_t queries) const {
+  if (queries_ == nullptr) return;
+  queries_->Increment(queries);
+  for (size_t i = 0; i < kNumStatsCounters && stats_[i] != nullptr; ++i) {
+    stats_[i]->Increment(stats.*kStatsCounters[i].field);
+  }
+  visited_capacity_bytes_->Set(
+      static_cast<double>(stats.visited_capacity_bytes));
+  peak_visited_size_->Set(static_cast<double>(stats.peak_visited_size));
+  if (rerank_pool_size_ != nullptr && queries > 0) {
+    rerank_pool_size_->Set(static_cast<double>(stats.rerank_candidates) /
+                           static_cast<double>(queries));
+  }
 }
 
 }  // namespace song

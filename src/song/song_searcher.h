@@ -12,7 +12,7 @@
 // visited-deletion (§IV-E) optimizations and the multi-query / multi-step
 // probing parameters (§V). The distance-agnostic core lives in
 // song/search_core.h; per-stage work counters feed the GPU cost model in
-// src/gpusim.
+// src/gpusim and, through SearchMetrics, a metrics registry.
 
 #ifndef SONG_SONG_SONG_SEARCHER_H_
 #define SONG_SONG_SONG_SEARCHER_H_
@@ -25,6 +25,7 @@
 #include "core/status.h"
 #include "core/types.h"
 #include "graph/fixed_degree_graph.h"
+#include "obs/metrics.h"
 #include "obs/request_timeline.h"
 #include "quant/pq.h"
 #include "quant/pq_distance.h"
@@ -66,8 +67,12 @@ class SongSearcher {
   /// bounded-heap ordering undefined).
   Status ValidateQuery(const float* query) const;
 
-  /// Validates a full request (query payload + option sanity + capacity
-  /// admission) before touching any per-query structure.
+  /// Validates a request's k and options (capacity admission, probing,
+  /// quantization) without a query.
+  Status ValidateOptions(size_t k, const SongSearchOptions& options) const;
+
+  /// Validates a full request (ValidateOptions, then ValidateQuery) before
+  /// touching any per-query structure.
   Status ValidateRequest(const float* query, size_t k,
                          const SongSearchOptions& options) const;
 
@@ -134,6 +139,40 @@ class SongSearcher {
   BatchDistance batch_dist_;         ///< fused Stage 2 kernel + cached norms
   std::vector<idx_t> result_id_map_; ///< new -> old, empty = identity
   std::unique_ptr<PqBatchDistance> pq_dist_;  ///< null until EnablePq
+};
+
+/// The per-query half of search telemetry: service time
+/// (song.query.latency_us), the song.search.* work counters summed from
+/// SearchStats, and the song.batch.queries total. Metric pointers are
+/// resolved once at construction, like obs::RequestMetrics, so recording
+/// takes no registry lock: the server holds one sink for its lifetime,
+/// BatchEngine builds one per batch.
+class SearchMetrics {
+ public:
+  /// `registry` may be null: recording is then a no-op. The
+  /// song.search.quant.* metrics exist only when `quant` is not kNone, so
+  /// exact-search deployments see an unchanged metric set.
+  SearchMetrics(obs::MetricsRegistry* registry, QuantizationMode quant);
+
+  void ObserveLatencyUs(double us) const {
+    if (latency_us_ != nullptr) latency_us_->Observe(us);
+  }
+
+  /// Adds `queries` searches, `stats` summed over them (capacity fields
+  /// hold maxima).
+  void Record(const SearchStats& stats, size_t queries) const;
+
+ private:
+  static constexpr size_t kNumStatsCounters = 22;
+
+  obs::Histogram* latency_us_ = nullptr;
+  obs::Counter* queries_ = nullptr;
+  /// One per SearchStats counter field; the quant ones stay null unless
+  /// the sink was built for quantized traversal.
+  obs::Counter* stats_[kNumStatsCounters] = {};
+  obs::Gauge* visited_capacity_bytes_ = nullptr;
+  obs::Gauge* peak_visited_size_ = nullptr;
+  obs::Gauge* rerank_pool_size_ = nullptr;  ///< quantized traversal only
 };
 
 }  // namespace song

@@ -1,8 +1,8 @@
 // Tests for the serving tier's admission queue and continuous-batching
-// claim primitive (src/serve/request_queue.h): FIFO claim order, key
-// compatibility grouping, dispatch when idle (no linger) with batches
-// formed from the backlog, explicit backpressure (full / closed), and the
-// drain protocol.
+// claim primitive (src/serve/request_queue.h): FIFO claim order whatever
+// the requests' k / ef / deadline, dispatch when idle (no linger) with
+// batches formed from the backlog, explicit backpressure (full / closed),
+// and the drain protocol.
 
 #include <atomic>
 #include <chrono>
@@ -23,8 +23,8 @@ std::unique_ptr<PendingRequest> MakeRequest(uint64_t id, uint32_t k = 10,
   auto r = std::make_unique<PendingRequest>();
   r->request_id = id;
   r->k = k;
-  r->queue_size = ef;
-  r->deadline_us = deadline_us;
+  r->options.queue_size = ef;
+  r->options.deadline_us = deadline_us;
   r->query = {1.0f, 2.0f};
   return r;
 }
@@ -68,39 +68,6 @@ TEST(RequestQueue, ClosedQueueIsUnavailable) {
   ASSERT_NE(r, nullptr);
 }
 
-TEST(RequestQueue, IncompatibleKeysStayQueued) {
-  RequestQueue queue(8);
-  auto a = MakeRequest(1, /*k=*/10, /*ef=*/64);
-  auto b = MakeRequest(2, /*k=*/10, /*ef=*/128);  // different ef
-  auto c = MakeRequest(3, /*k=*/10, /*ef=*/64);
-  ASSERT_TRUE(queue.Push(a).ok());
-  ASSERT_TRUE(queue.Push(b).ok());
-  ASSERT_TRUE(queue.Push(c).ok());
-  std::vector<std::unique_ptr<PendingRequest>> out(8);
-  size_t n = queue.PopBatch(out.data(), 8);
-  ASSERT_EQ(n, 2u);  // 1 and 3 share the key; 2 must wait its turn
-  EXPECT_EQ(out[0]->request_id, 1u);
-  EXPECT_EQ(out[1]->request_id, 3u);
-  n = queue.PopBatch(out.data(), 8);
-  ASSERT_EQ(n, 1u);
-  EXPECT_EQ(out[0]->request_id, 2u);
-}
-
-TEST(RequestQueue, DeadlinesDoNotSplitABatch) {
-  // Each claimed request searches on its own budget, so deadline-free and
-  // deadline-carrying requests with one k / ef share a batch.
-  RequestQueue queue(8);
-  auto a = MakeRequest(1, 10, 64, /*deadline_us=*/0);
-  auto b = MakeRequest(2, 10, 64, /*deadline_us=*/500);
-  ASSERT_TRUE(queue.Push(a).ok());
-  ASSERT_TRUE(queue.Push(b).ok());
-  std::vector<std::unique_ptr<PendingRequest>> out(8);
-  const size_t n = queue.PopBatch(out.data(), 8);
-  ASSERT_EQ(n, 2u);
-  EXPECT_EQ(out[0]->request_id, 1u);
-  EXPECT_EQ(out[1]->request_id, 2u);
-}
-
 TEST(RequestQueue, IdleQueueClaimsWithoutWaiting) {
   RequestQueue queue(8);
   std::atomic<size_t> claimed{0};
@@ -129,31 +96,28 @@ TEST(RequestQueue, IdleQueueClaimsWithoutWaiting) {
   EXPECT_EQ(queue.Size(), 1u);
 }
 
-TEST(RequestQueue, BacklogIsClaimedAsOneCompatibleBatchCappedAtMaxBatch) {
+TEST(RequestQueue, BacklogIsClaimedInFifoOrderCappedAtMaxBatch) {
   RequestQueue queue(16);
-  // Arrival order: A0 B1 A2 A3 B4 A5 A6, where B has another ef.
-  const uint32_t efs[] = {64, 128, 64, 64, 128, 64, 64};
+  // Seven requests with mixed k, ef and deadlines: none of them keeps a
+  // request out of a claim, because each claimed request is searched on
+  // its own.
+  const uint32_t ks[] = {10, 10, 1, 10, 25, 10, 10};
+  const uint32_t efs[] = {64, 128, 64, 64, 128, 512, 64};
+  const uint64_t deadlines[] = {0, 500, 0, 0, 100, 0, 0};
   for (uint64_t i = 0; i < 7; ++i) {
-    auto r = MakeRequest(i, /*k=*/10, efs[i]);
+    auto r = MakeRequest(i, ks[i], efs[i], deadlines[i]);
     ASSERT_TRUE(queue.Push(r).ok());
   }
   std::vector<std::unique_ptr<PendingRequest>> out(4);
-  // The backlog is swept in one claim: the oldest request's key, arrival
-  // order, stopping at max_batch = 4.
+  // The backlog is claimed oldest first, stopping at max_batch = 4; the
+  // rest stays queued, still in arrival order, for the next claim.
   size_t n = queue.PopBatch(out.data(), 4);
   ASSERT_EQ(n, 4u);
-  EXPECT_EQ(out[0]->request_id, 0u);
-  EXPECT_EQ(out[1]->request_id, 2u);
-  EXPECT_EQ(out[2]->request_id, 3u);
-  EXPECT_EQ(out[3]->request_id, 5u);
+  for (uint64_t i = 0; i < 4; ++i) EXPECT_EQ(out[i]->request_id, i);
   EXPECT_EQ(queue.Size(), 3u);
   n = queue.PopBatch(out.data(), 4);
-  ASSERT_EQ(n, 2u);
-  EXPECT_EQ(out[0]->request_id, 1u);
-  EXPECT_EQ(out[1]->request_id, 4u);
-  n = queue.PopBatch(out.data(), 4);
-  ASSERT_EQ(n, 1u);
-  EXPECT_EQ(out[0]->request_id, 6u);
+  ASSERT_EQ(n, 3u);
+  for (uint64_t i = 0; i < 3; ++i) EXPECT_EQ(out[i]->request_id, 4 + i);
   EXPECT_EQ(queue.Size(), 0u);
 }
 

@@ -177,8 +177,8 @@ TEST(ServeSoak, ChaosTrafficConservesEveryOutcome) {
   // The soak is vacuous if nothing made it in.
   EXPECT_GT(requests_sent.load(), 0u);
   EXPECT_GT(c.accepted, 0u);
-  // Exactly one request record per accepted request (no engine
-  // double-count, no dropped settle).
+  // Exactly one request record per accepted request (no double-count, no
+  // dropped settle).
   EXPECT_EQ(registry.GetHistogram("song.req.total_us").Count(), c.accepted);
   // Metric counters agree with the atomic mirrors.
   EXPECT_EQ(registry.GetCounter("song.serve.accepted").Value(), c.accepted);

@@ -15,6 +15,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -190,10 +191,41 @@ TEST(ServeServer, ResultsMatchDirectEngineRun) {
           << "query " << q << " rank " << i;
     }
   }
+
+  // Interleaved k / ef on the single worker: every search reuses the
+  // worker's one workspace, sized by whichever request ran before it. Each
+  // answer must still match a search on a fresh workspace bit for bit
+  // (ef 0 = the server's default queue size).
+  constexpr uint32_t kMixed[][2] = {{10, 1024}, {1, 0},  {25, 40},
+                                    {5, 512},   {10, 16}, {40, 64}};
+  size_t mixed = 0;
+  for (size_t q = 0; q < fx.queries.num(); ++q) {
+    for (const auto& [k, ef] : kMixed) {
+      const uint64_t tag = 1000 + mixed++;
+      ASSERT_TRUE(client.SendSearch(tag, QueryRow(q), k, ef).ok());
+      const auto response = client.ReadResponse();
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      EXPECT_EQ(response.value().client_tag, tag);
+      EXPECT_EQ(response.value().status_code, 0);
+      SongSearchOptions fresh_options;
+      fresh_options.queue_size = ef != 0 ? ef : options.default_queue_size;
+      SongWorkspace fresh;
+      const std::vector<Neighbor> want =
+          searcher.Search(QueryRow(q).data(), k, fresh_options, &fresh);
+      ASSERT_EQ(response.value().results.size(), want.size())
+          << "query " << q << " k " << k << " ef " << ef;
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(response.value().results[i].id, want[i].id)
+            << "query " << q << " k " << k << " ef " << ef << " rank " << i;
+        EXPECT_EQ(response.value().results[i].dist, want[i].dist)
+            << "query " << q << " k " << k << " ef " << ef << " rank " << i;
+      }
+    }
+  }
   ASSERT_TRUE(server.Drain().ok());
   const ServeCounterSnapshot c = server.counters();
-  EXPECT_EQ(c.accepted, fx.queries.num());
-  EXPECT_EQ(c.ok, fx.queries.num());
+  EXPECT_EQ(c.accepted, fx.queries.num() + mixed);
+  EXPECT_EQ(c.ok, fx.queries.num() + mixed);
   ExpectConservation(server);
 }
 
@@ -277,7 +309,7 @@ TEST(ServeServer, MixedDeadlineBatchmatesKeepTheirOwnBudgets) {
   SongServer server(&searcher, options, &registry);
   ASSERT_TRUE(server.Start().ok());
 
-  // A burst of deadline-carrying requests that share one BatchKey: tight
+  // A burst of deadline-carrying requests with one k and ef: tight
   // budgets from 1.5 ms to 4 ms in 25 us steps, then one request with a
   // whole minute. Whatever batch the minute request lands in, some
   // batchmate has only microseconds left when that batch is claimed; that
@@ -401,17 +433,43 @@ TEST(ServeServer, InvalidRequestsSettleAsTypedErrors) {
   EXPECT_EQ(response.value().status_code,
             static_cast<int32_t>(StatusCode::kInvalidArgument));
 
-  // The connection survived both refusals: a valid request still works.
-  ASSERT_TRUE(client.SendSearch(3, QueryRow(0), 5).ok());
+  // A NaN component: distances would be undefined.
+  std::vector<float> nan_query = QueryRow(0);
+  nan_query[3] = std::numeric_limits<float>::quiet_NaN();
+  ASSERT_TRUE(client.SendSearch(3, nan_query, 5).ok());
+  response = client.ReadResponse();
+  ASSERT_TRUE(response.ok());
+  EXPECT_EQ(response.value().client_tag, 3u);
+  EXPECT_EQ(response.value().status_code,
+            static_cast<int32_t>(StatusCode::kInvalidArgument));
+  EXPECT_TRUE(response.value().results.empty());
+
+  // An ef past the searcher's capacity limit: a resource refusal, as
+  // SongSearcher::TrySearch answers it.
+  ASSERT_TRUE(client
+                  .SendSearch(4, QueryRow(0), 5,
+                              static_cast<uint32_t>(
+                                  SongSearcher::kMaxQueueSize + 1))
+                  .ok());
+  response = client.ReadResponse();
+  ASSERT_TRUE(response.ok());
+  EXPECT_EQ(response.value().client_tag, 4u);
+  EXPECT_EQ(response.value().status_code,
+            static_cast<int32_t>(StatusCode::kResourceExhausted));
+
+  // The connection survived every refusal: a valid request still works.
+  ASSERT_TRUE(client.SendSearch(5, QueryRow(0), 5).ok());
   response = client.ReadResponse();
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response.value().status_code, 0);
 
   ASSERT_TRUE(server.Drain().ok());
   const ServeCounterSnapshot c = server.counters();
-  EXPECT_EQ(c.accepted, 3u);
-  EXPECT_EQ(c.error, 2u);
+  EXPECT_EQ(c.accepted, 5u);
+  EXPECT_EQ(c.error, 4u);
   EXPECT_EQ(c.ok, 1u);
+  // Refused at admission: only the valid request was ever searched.
+  EXPECT_EQ(registry.GetCounter("song.batch.queries").Value(), 1u);
   ExpectConservation(server);
 }
 
@@ -503,9 +561,8 @@ TEST(ServeServer, ServerStampsFullLifecycleTimelines) {
     ASSERT_TRUE(response.ok());
   }
   ASSERT_TRUE(server.Drain().ok());
-  // Exactly one song.req.* record per accepted request — the engine's
-  // per-request lifecycle is disabled on the serving path, so records are
-  // not double-counted.
+  // Exactly one song.req.* record per accepted request: the server stamps
+  // the only record, and its searches run without a request observer.
   EXPECT_EQ(registry.GetHistogram("song.req.total_us").Count(), kRequests);
   EXPECT_EQ(registry.GetCounter("song.serve.accepted").Value(), kRequests);
   ExpectConservation(server);

@@ -84,6 +84,14 @@ expect_fail 2 "non-negative integer" -- search --data "$DIR/data.sngd" \
       --graph "$DIR/graph.sngg" --queries "$DIR/q.sngd" --k banana
 expect_fail 2 "requires --fault-spec" -- search --data "$DIR/data.sngd" \
       --graph "$DIR/graph.sngg" --queries "$DIR/q.sngd" --fault-seed 7
+# Junk in a real-valued or trace-sampling flag is a usage error too, never
+# a silent full-size preset or silently disabled tracing.
+expect_fail 2 "flag --scale expects a number" -- gen --preset sift \
+      --scale abc --out "$DIR/junk.sngd"
+expect_fail 2 "flag --trace-sample expects a non-negative integer" -- search \
+      --data "$DIR/data.sngd" --graph "$DIR/graph.sngg" \
+      --queries "$DIR/q.sngd" --trace "$DIR/junk.trace.json" \
+      --trace-sample junk
 
 # Malformed fault spec: diagnostic + exit 2.
 expect_fail 2 "invalid --fault-spec" -- search --data "$DIR/data.sngd" \

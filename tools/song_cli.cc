@@ -31,8 +31,9 @@
 // Online mutation (docs/testing.md): --mutate-spec adopts the loaded
 // data/graph into a MutableIndex, applies R rounds of I inserts (noisy
 // copies of random live points) and D tombstone deletes, then serves the
-// queries from the final snapshot and reports recall against an exact scan
-// of the live set. Incompatible with --reorder and --gt (both refer to the
+// queries from the final snapshot on --max-inflight workers (default: every
+// core, as the plain path) and reports recall against an exact scan of the
+// live set. Incompatible with --reorder and --gt (both refer to the
 // frozen point set, which mutation invalidates).
 //
 // Robustness (docs/robustness.md): --deadline-us / --cost-budget cap each
@@ -57,15 +58,16 @@
 //
 // Everything uses the library's binary formats (SNGD datasets, SNGG graphs).
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
-#include <initializer_list>
-#include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "baselines/flat_index.h"
@@ -76,6 +78,7 @@
 #include "core/thread_pool.h"
 #include "core/timer.h"
 #include "data/synthetic.h"
+#include "flags.h"
 #include "gpusim/simulator.h"
 #include "graph/graph_stats.h"
 #include "graph/nsw_builder.h"
@@ -92,104 +95,14 @@
 
 namespace {
 
-using namespace song;  // NOLINT: CLI main file
-
-using Flags = std::map<std::string, std::string>;
-
-Flags ParseFlags(int argc, char** argv, int first) {
-  Flags flags;
-  for (int i = first; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
-      std::fprintf(stderr, "unexpected argument: %s\n", arg.c_str());
-      std::exit(2);
-    }
-    arg = arg.substr(2);
-    if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      flags[arg] = argv[++i];
-    } else {
-      flags[arg] = "1";
-    }
-  }
-  return flags;
-}
-
-/// Rejects flags a command does not understand — a typo'd flag silently
-/// falling back to a default is how bad benchmarks get published.
-void CheckFlags(const Flags& flags, const char* cmd,
-                std::initializer_list<const char*> allowed) {
-  for (const auto& [key, value] : flags) {
-    bool known = false;
-    for (const char* a : allowed) {
-      if (key == a) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      std::fprintf(stderr, "unknown flag --%s for command %s\n", key.c_str(),
-                   cmd);
-      std::exit(2);
-    }
-  }
-}
-
-std::string Require(const Flags& flags, const std::string& key) {
-  const auto it = flags.find(key);
-  if (it == flags.end()) {
-    std::fprintf(stderr, "missing required flag --%s\n", key.c_str());
-    std::exit(2);
-  }
-  return it->second;
-}
-
-std::string Optional(const Flags& flags, const std::string& key,
-                     const std::string& fallback) {
-  const auto it = flags.find(key);
-  return it == flags.end() ? fallback : it->second;
-}
-
-/// Strict non-negative integer flag parse; a trailing junk suffix or an
-/// out-of-range value is a usage error (exit 2), not a silent zero.
-uint64_t ParseUint(const Flags& flags, const std::string& key,
-                   const std::string& fallback) {
-  const std::string value = Optional(flags, key, fallback);
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-  if (value.empty() || value[0] == '-' || end == value.c_str() ||
-      *end != '\0' || errno == ERANGE) {
-    std::fprintf(stderr,
-                 "flag --%s expects a non-negative integer, got \"%s\"\n",
-                 key.c_str(), value.c_str());
-    std::exit(2);
-  }
-  return v;
-}
-
-Metric ParseMetric(const std::string& name) {
-  if (name == "l2") return Metric::kL2;
-  if (name == "ip") return Metric::kInnerProduct;
-  if (name == "cosine") return Metric::kCosine;
-  std::fprintf(stderr, "unknown metric: %s\n", name.c_str());
-  std::exit(2);
-}
+using namespace song;       // NOLINT: CLI main file
+using namespace song::cli;  // NOLINT: CLI main file
 
 GpuSpec ParseGpu(const std::string& name) {
   if (name == "v100") return GpuSpec::V100();
   if (name == "p40") return GpuSpec::P40();
   if (name == "titanx") return GpuSpec::TitanX();
   std::fprintf(stderr, "unknown gpu: %s\n", name.c_str());
-  std::exit(2);
-}
-
-SongSearchOptions ParseConfig(const std::string& name) {
-  if (name == "hashtable") return SongSearchOptions::HashTable();
-  if (name == "sel") return SongSearchOptions::HashTableSel();
-  if (name == "seldel") return SongSearchOptions::HashTableSelDel();
-  if (name == "bloom") return SongSearchOptions::Bloom();
-  if (name == "cuckoo") return SongSearchOptions::Cuckoo();
-  std::fprintf(stderr, "unknown config: %s\n", name.c_str());
   std::exit(2);
 }
 
@@ -203,10 +116,14 @@ Dataset LoadDatasetOrDie(const std::string& path) {
 }
 
 int CmdGen(const Flags& flags) {
-  CheckFlags(flags, "gen", {"preset", "scale", "out", "queries"});
+  CheckFlags(flags, {"preset", "scale", "out", "queries"}, "gen");
   const std::string preset = Require(flags, "preset");
-  const double scale = std::atof(Optional(flags, "scale", "1.0").c_str());
-  SyntheticSpec spec = PresetSpec(preset, scale > 0 ? scale : 1.0);
+  const double scale = ParseDouble(flags, "scale", "1.0");
+  if (scale <= 0.0) {
+    std::fprintf(stderr, "flag --scale must be > 0\n");
+    return 2;
+  }
+  SyntheticSpec spec = PresetSpec(preset, scale);
   const SyntheticData gen = GenerateSynthetic(spec);
   const std::string out = Require(flags, "out");
   Status s = gen.points.Save(out);
@@ -230,7 +147,7 @@ int CmdGen(const Flags& flags) {
 }
 
 int CmdBuild(const Flags& flags) {
-  CheckFlags(flags, "build", {"data", "out", "degree", "ef", "metric"});
+  CheckFlags(flags, {"data", "out", "degree", "ef", "metric"}, "build");
   const Dataset data = LoadDatasetOrDie(Require(flags, "data"));
   NswBuildOptions options;
   options.degree = ParseUint(flags, "degree", "16");
@@ -253,7 +170,7 @@ int CmdBuild(const Flags& flags) {
 }
 
 int CmdStats(const Flags& flags) {
-  CheckFlags(flags, "stats", {"graph"});
+  CheckFlags(flags, {"graph"}, "stats");
   auto loaded = FixedDegreeGraph::Load(Require(flags, "graph"));
   if (!loaded.ok()) {
     std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
@@ -271,7 +188,7 @@ int CmdStats(const Flags& flags) {
 }
 
 int CmdGroundTruth(const Flags& flags) {
-  CheckFlags(flags, "gt", {"data", "queries", "k", "metric", "out"});
+  CheckFlags(flags, {"data", "queries", "k", "metric", "out"}, "gt");
   const Dataset data = LoadDatasetOrDie(Require(flags, "data"));
   const Dataset queries = LoadDatasetOrDie(Require(flags, "queries"));
   const size_t k = ParseUint(flags, "k", "100");
@@ -522,9 +439,10 @@ int RunMutateSearch(const Flags& flags, Dataset data, FixedDegreeGraph graph,
 
   // Serve the queries from the final snapshot; exact live-set scan for
   // recall (the frozen --gt file is meaningless after mutation). Serving is
-  // concurrent: --max-inflight bounds the worker count (there is no batch
-  // admission queue in this leg — each query is an independent request), so
-  // a request's queue stage is the time it waited for a worker slot.
+  // concurrent: --max-inflight bounds the worker count, 0 = every core as on
+  // the plain path (there is no batch admission queue in this leg — each
+  // query is an independent request), so a request's queue stage is the
+  // time it waited for a worker slot.
   const std::string metrics_path = Optional(flags, "metrics", "");
   const std::string metrics_json_path = Optional(flags, "metrics-json", "");
   const std::string statusz_path = Optional(flags, "statusz", "");
@@ -548,7 +466,9 @@ int RunMutateSearch(const Flags& flags, Dataset data, FixedDegreeGraph graph,
 
   const size_t max_inflight =
       static_cast<size_t>(ParseUint(flags, "max-inflight", "0"));
-  const size_t workers = std::max<size_t>(1, max_inflight);
+  const size_t workers =
+      max_inflight != 0 ? max_inflight
+                        : std::max(1u, std::thread::hardware_concurrency());
   std::vector<SongWorkspace> workspaces(workers);
   std::vector<size_t> hits_per(workers, 0);
   std::vector<size_t> denom_per(workers, 0);
@@ -671,12 +591,13 @@ int RunMutateSearch(const Flags& flags, Dataset data, FixedDegreeGraph graph,
 }
 
 int CmdSearch(const Flags& flags) {
-  CheckFlags(flags, "search",
+  CheckFlags(flags,
              {"data", "graph", "queries", "metric", "k", "queue", "config",
               "reorder", "gt", "gpu", "metrics", "metrics-json", "trace",
               "trace-sample", "deadline-us", "cost-budget", "max-inflight",
               "fault-spec", "fault-seed", "mutate-spec", "statusz",
-              "flight-recorder", "pq"});
+              "flight-recorder", "pq"},
+             "search");
 
   const std::string fault_spec = Optional(flags, "fault-spec", "");
   if (!fault_spec.empty()) {
@@ -817,9 +738,10 @@ int CmdSearch(const Flags& flags) {
   if (!statusz_path.empty() || !flight_path.empty()) {
     telemetry.flight_recorder = &recorder;
   }
+  const uint64_t trace_sample =
+      ParseUint(flags, "trace-sample", "1", UINT32_MAX);
   if (!trace_path.empty()) {
-    telemetry.trace_sample_period = static_cast<uint32_t>(std::strtoul(
-        Optional(flags, "trace-sample", "1").c_str(), nullptr, 10));
+    telemetry.trace_sample_period = static_cast<uint32_t>(trace_sample);
   }
 
   std::atomic<uint64_t> faults_fired{0};
@@ -988,7 +910,7 @@ int main(int argc, char** argv) {
     if (cmd == "gt") return CmdGroundTruth(flags);
     if (cmd == "search") return CmdSearch(flags);
     if (cmd == "version") {
-      CheckFlags(flags, "version", {});
+      CheckFlags(flags, {}, "version");
       return CmdVersion();
     }
     Usage();

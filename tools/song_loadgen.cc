@@ -45,8 +45,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <initializer_list>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -57,84 +55,14 @@
 #include "core/random.h"
 #include "core/status.h"
 #include "core/timer.h"
+#include "flags.h"
 #include "obs/exporters.h"
 #include "serve/frame.h"
 
 namespace {
 
-using namespace song;  // NOLINT: CLI main file
-
-using Flags = std::map<std::string, std::string>;
-
-Flags ParseFlags(int argc, char** argv, int first) {
-  Flags flags;
-  for (int i = first; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
-      std::fprintf(stderr, "unexpected argument: %s\n", arg.c_str());
-      std::exit(2);
-    }
-    arg = arg.substr(2);
-    if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      flags[arg] = argv[++i];
-    } else {
-      flags[arg] = "1";
-    }
-  }
-  return flags;
-}
-
-void CheckFlags(const Flags& flags,
-                std::initializer_list<const char*> allowed) {
-  for (const auto& [key, value] : flags) {
-    bool known = false;
-    for (const char* a : allowed) {
-      if (key == a) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      std::fprintf(stderr, "unknown flag --%s\n", key.c_str());
-      std::exit(2);
-    }
-  }
-}
-
-std::string Optional(const Flags& flags, const std::string& key,
-                     const std::string& fallback) {
-  const auto it = flags.find(key);
-  return it == flags.end() ? fallback : it->second;
-}
-
-uint64_t ParseUint(const Flags& flags, const std::string& key,
-                   const std::string& fallback) {
-  const std::string value = Optional(flags, key, fallback);
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-  if (value.empty() || value[0] == '-' || end == value.c_str() ||
-      *end != '\0' || errno == ERANGE) {
-    std::fprintf(stderr,
-                 "flag --%s expects a non-negative integer, got \"%s\"\n",
-                 key.c_str(), value.c_str());
-    std::exit(2);
-  }
-  return v;
-}
-
-double ParseProb(const Flags& flags, const std::string& key,
-                 const std::string& fallback) {
-  const std::string value = Optional(flags, key, fallback);
-  char* end = nullptr;
-  const double p = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0' || p < 0.0 || p > 1.0) {
-    std::fprintf(stderr, "flag --%s expects a probability in [0,1]\n",
-                 key.c_str());
-    std::exit(2);
-  }
-  return p;
-}
+using namespace song;       // NOLINT: CLI main file
+using namespace song::cli;  // NOLINT: CLI main file
 
 int ConnectTo(const std::string& host, uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -369,7 +297,7 @@ int main(int argc, char** argv) {
 
   WorkerConfig config;
   config.host = Optional(flags, "host", "127.0.0.1");
-  config.port = static_cast<uint16_t>(ParseUint(flags, "port", "0"));
+  config.port = static_cast<uint16_t>(ParseUint(flags, "port", "0", 65535));
   if (config.port == 0) {
     std::fprintf(stderr, "missing required flag --port\n");
     return 2;
@@ -379,7 +307,12 @@ int main(int argc, char** argv) {
   config.queue_size = static_cast<uint32_t>(ParseUint(flags, "queue", "0"));
   config.deadline_us = ParseUint(flags, "deadline-us", "0");
   config.cost_budget = ParseUint(flags, "cost-budget", "0");
-  config.chaos_close_prob = ParseProb(flags, "chaos-close-prob", "0");
+  config.chaos_close_prob = ParseDouble(flags, "chaos-close-prob", "0");
+  if (config.chaos_close_prob < 0.0 || config.chaos_close_prob > 1.0) {
+    std::fprintf(stderr,
+                 "flag --chaos-close-prob expects a probability in [0,1]\n");
+    return 2;
+  }
   config.io_timeout_ms =
       static_cast<int>(ParseUint(flags, "io-timeout-ms", "5000"));
   config.seed = ParseUint(flags, "seed", "1");

@@ -33,11 +33,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
-#include <initializer_list>
-#include <map>
 #include <string>
 
 #include "core/fault_injection.h"
+#include "flags.h"
 #include "obs/exporters.h"
 #include "serve/server.h"
 #include "song/song_searcher.h"
@@ -48,93 +47,8 @@
 
 namespace {
 
-using namespace song;  // NOLINT: CLI main file
-
-using Flags = std::map<std::string, std::string>;
-
-Flags ParseFlags(int argc, char** argv, int first) {
-  Flags flags;
-  for (int i = first; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
-      std::fprintf(stderr, "unexpected argument: %s\n", arg.c_str());
-      std::exit(2);
-    }
-    arg = arg.substr(2);
-    if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      flags[arg] = argv[++i];
-    } else {
-      flags[arg] = "1";
-    }
-  }
-  return flags;
-}
-
-void CheckFlags(const Flags& flags,
-                std::initializer_list<const char*> allowed) {
-  for (const auto& [key, value] : flags) {
-    bool known = false;
-    for (const char* a : allowed) {
-      if (key == a) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      std::fprintf(stderr, "unknown flag --%s\n", key.c_str());
-      std::exit(2);
-    }
-  }
-}
-
-std::string Require(const Flags& flags, const std::string& key) {
-  const auto it = flags.find(key);
-  if (it == flags.end()) {
-    std::fprintf(stderr, "missing required flag --%s\n", key.c_str());
-    std::exit(2);
-  }
-  return it->second;
-}
-
-std::string Optional(const Flags& flags, const std::string& key,
-                     const std::string& fallback) {
-  const auto it = flags.find(key);
-  return it == flags.end() ? fallback : it->second;
-}
-
-uint64_t ParseUint(const Flags& flags, const std::string& key,
-                   const std::string& fallback) {
-  const std::string value = Optional(flags, key, fallback);
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-  if (value.empty() || value[0] == '-' || end == value.c_str() ||
-      *end != '\0' || errno == ERANGE) {
-    std::fprintf(stderr,
-                 "flag --%s expects a non-negative integer, got \"%s\"\n",
-                 key.c_str(), value.c_str());
-    std::exit(2);
-  }
-  return v;
-}
-
-Metric ParseMetric(const std::string& name) {
-  if (name == "l2") return Metric::kL2;
-  if (name == "ip") return Metric::kInnerProduct;
-  if (name == "cosine") return Metric::kCosine;
-  std::fprintf(stderr, "unknown metric: %s\n", name.c_str());
-  std::exit(2);
-}
-
-SongSearchOptions ParseConfig(const std::string& name) {
-  if (name == "hashtable") return SongSearchOptions::HashTable();
-  if (name == "sel") return SongSearchOptions::HashTableSel();
-  if (name == "seldel") return SongSearchOptions::HashTableSelDel();
-  if (name == "bloom") return SongSearchOptions::Bloom();
-  if (name == "cuckoo") return SongSearchOptions::Cuckoo();
-  std::fprintf(stderr, "unknown config: %s\n", name.c_str());
-  std::exit(2);
-}
+using namespace song;       // NOLINT: CLI main file
+using namespace song::cli;  // NOLINT: CLI main file
 
 }  // namespace
 
@@ -178,7 +92,7 @@ int main(int argc, char** argv) {
 
   serve::ServerOptions options;
   options.host = Optional(flags, "host", "127.0.0.1");
-  options.port = static_cast<uint16_t>(ParseUint(flags, "port", "0"));
+  options.port = static_cast<uint16_t>(ParseUint(flags, "port", "0", 65535));
   options.max_connections = ParseUint(flags, "max-connections", "64");
   options.queue_capacity = ParseUint(flags, "queue-capacity", "256");
   options.max_batch = ParseUint(flags, "max-batch", "32");
