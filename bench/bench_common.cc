@@ -110,8 +110,10 @@ Curve BenchContext::SweepSong(size_t k,
   for (const size_t qs : queue_sizes) {
     SongSearchOptions options = base;
     options.queue_size = qs;
-    const SimulatedRun run = SimulateBatch(searcher, workload_.queries, k,
-                                           options, env_.gpu, env_.threads);
+    const SimulatedRun run =
+        TrySimulateBatch(searcher, workload_.queries, k, options, env_.gpu,
+                         env_.threads)
+            .value();
     CurvePoint pt;
     pt.param = qs;
     pt.recall = MeanRecallAtK(run.batch.Ids(), workload_.ground_truth, k);

@@ -37,7 +37,7 @@ int main() {
           song::SongSearchOptions::HashTableSelDel();
       options.queue_size = queue;
       const song::ShardedSearchResult result =
-          index.Search(w.queries, kTop, options, env.threads);
+          index.TrySearch(w.queries, kTop, options, {}, env.threads).value();
       std::vector<std::vector<song::idx_t>> ids(result.results.size());
       for (size_t q = 0; q < result.results.size(); ++q) {
         for (const song::Neighbor& n : result.results[q]) {

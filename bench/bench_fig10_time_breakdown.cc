@@ -29,8 +29,9 @@ int main() {
           song::SongSearchOptions::HashTableSelDel();
       options.queue_size = k;
       const song::SimulatedRun run =
-          SimulateBatch(searcher, ctx.workload().queries, k, options,
-                        env.gpu, env.threads);
+          TrySimulateBatch(searcher, ctx.workload().queries, k, options,
+                           env.gpu, env.threads)
+              .value();
       std::printf("%8zu | %8.2f %8.2f %8.2f | %10.2f %10.2f %10.2f\n", k,
                   run.gpu.HtodPct(), run.gpu.KernelPct(), run.gpu.DtohPct(),
                   run.gpu.LocatePct(), run.gpu.DistancePct(),

@@ -59,9 +59,9 @@ int main() {
     song::SongSearchOptions options =
         song::SongSearchOptions::HashTableSelDel();
     options.queue_size = queue;
-    const song::SimulatedRun base = SimulateBatch(
+    const song::SimulatedRun base = TrySimulateBatch(
         searcher, ctx.workload().queries, kTop, options, env.gpu,
-        env.threads);
+        env.threads).value();
     const double recall = song::MeanRecallAtK(
         base.batch.Ids(), ctx.workload().ground_truth, kTop);
     std::printf("-- queue=%zu (recall %.3f) --\n", queue, recall);

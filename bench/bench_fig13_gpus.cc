@@ -38,8 +38,9 @@ int main() {
       options.queue_size = qs;
       // One native execution; price its counters on every card.
       const song::SimulatedRun base =
-          SimulateBatch(searcher, ctx.workload().queries, kTop, options,
-                        env.gpu, env.threads);
+          TrySimulateBatch(searcher, ctx.workload().queries, kTop, options,
+                           env.gpu, env.threads)
+              .value();
       const double recall = song::MeanRecallAtK(
           base.batch.Ids(), ctx.workload().ground_truth, kTop);
       std::printf("%10zu %10.4f", qs, recall);

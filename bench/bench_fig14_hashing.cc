@@ -56,8 +56,8 @@ int main() {
         song::SongSearchOptions options =
             song::SongSearchOptions::HashTableSelDel();
         options.queue_size = qs;
-        const song::SimulatedRun run = SimulateBatch(
-            searcher, w.queries, kTop, options, env.gpu, env.threads);
+        const song::SimulatedRun run = TrySimulateBatch(
+            searcher, w.queries, kTop, options, env.gpu, env.threads).value();
         CurvePoint pt;
         pt.param = qs;
         pt.recall =
@@ -99,8 +99,8 @@ int main() {
         options.queue_size = qs;
         options.quant = song::QuantizationMode::kPq;
         options.rerank_depth = 0;  // auto pool: min(ef, max(4k, 32))
-        const song::SimulatedRun run = SimulateBatch(
-            searcher, w.queries, kTop, options, env.gpu, env.threads);
+        const song::SimulatedRun run = TrySimulateBatch(
+            searcher, w.queries, kTop, options, env.gpu, env.threads).value();
         CurvePoint pt;
         pt.param = qs;
         pt.recall =

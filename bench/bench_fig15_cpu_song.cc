@@ -36,8 +36,8 @@ int main() {
       song::SongSearchOptions options =
           song::SongSearchOptions::CpuEngineered();
       options.queue_size = qs;
-      const song::BatchResult batch = engine.Search(w.queries, kTop,
-                                                    options);
+      const song::BatchResult batch =
+          engine.TrySearch(w.queries, kTop, options).value();
       CurvePoint pt;
       pt.param = qs;
       pt.recall = song::MeanRecallAtK(batch.Ids(), w.ground_truth, kTop);

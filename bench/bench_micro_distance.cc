@@ -280,10 +280,10 @@ void RunSearchBench(benchmark::State& state,
   SongWorkspace ws;
   size_t qi = 0;
   for (auto _ : state) {
-    const auto result = searcher.Search(
+    const auto result = searcher.TrySearch(
         fx.queries.Row(static_cast<idx_t>(qi % fx.queries.num())), 10,
         options, &ws);
-    benchmark::DoNotOptimize(result.data());
+    benchmark::DoNotOptimize(result->data());
     ++qi;
   }
   state.SetItemsProcessed(state.iterations());

@@ -98,10 +98,10 @@ void BM_HostSearcherForComparison(benchmark::State& state) {
   SongWorkspace ws;
   size_t qi = 0;
   for (auto _ : state) {
-    const auto r = searcher.Search(
+    const auto r = searcher.TrySearch(
         fx.queries.Row(static_cast<idx_t>(qi % fx.queries.num())), 10,
         options, &ws);
-    benchmark::DoNotOptimize(r.data());
+    benchmark::DoNotOptimize(r->data());
     ++qi;
   }
   state.SetItemsProcessed(state.iterations());

@@ -102,8 +102,8 @@ int main() {
       song::SongSearchOptions options =
           song::SongSearchOptions::HashTableSelDel();
       options.queue_size = qs;
-      const song::SimulatedRun run = SimulateBatch(
-          searcher, w.queries, kTop, options, env.gpu, env.threads);
+      const song::SimulatedRun run = TrySimulateBatch(
+          searcher, w.queries, kTop, options, env.gpu, env.threads).value();
       CurvePoint pt;
       pt.param = qs;
       pt.recall = song::MeanRecallAtK(run.batch.Ids(), w.ground_truth, kTop);

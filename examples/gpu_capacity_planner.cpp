@@ -33,7 +33,8 @@ int main(int argc, char** argv) {
 
   // One native run collects the counters; each card prices them.
   const SimulatedRun base =
-      SimulateBatch(searcher, gen.queries, 10, options, GpuSpec::V100());
+      TrySimulateBatch(searcher, gen.queries, 10, options, GpuSpec::V100())
+          .value();
 
   std::printf("\nper-query work: %.0f distance computations, %.0f graph rows,"
               " %.0f heap ops\n",

@@ -59,8 +59,9 @@ int main() {
   for (const size_t queue : {16, 32, 64, 128, 256}) {
     SongSearchOptions options = SongSearchOptions::HashTableSelDel();
     options.queue_size = queue;
-    const SimulatedRun run = SimulateBatch(searcher, gen.queries, 10,
-                                           options, GpuSpec::V100());
+    const SimulatedRun run = TrySimulateBatch(searcher, gen.queries, 10,
+                                              options, GpuSpec::V100())
+                                 .value();
     const double recall = MeanRecallAtK(run.batch.Ids(), truth, 10);
     std::printf("%10zu %10.3f %14.0f %14.0f\n", queue, recall,
                 run.batch.Qps(), run.SimQps());

@@ -66,9 +66,9 @@ int main() {
       SongWorkspace ws;
       std::vector<std::vector<idx_t>> ids(nq);
       for (size_t q = 0; q < nq; ++q) {
-        const auto found = searcher.Search(users.Row(static_cast<idx_t>(q)),
-                                           10, options, &ws);
-        for (const Neighbor& n : found) ids[q].push_back(n.id);
+        const auto found = searcher.TrySearch(
+            users.Row(static_cast<idx_t>(q)), 10, options, &ws);
+        for (const Neighbor& n : found.value()) ids[q].push_back(n.id);
       }
       std::printf("  %6.3f", MeanRecallAtK(ids, truth, 10));
     }

@@ -42,23 +42,32 @@ int main() {
   SongSearchOptions options = SongSearchOptions::HashTableSelDel();
   options.queue_size = 64;
 
+  // TrySearch is the one search entry point: malformed input (k = 0, a
+  // NaN component, an oversized queue) comes back as a Status, never an
+  // abort. The workspace is reused across calls on this thread.
+  SongWorkspace ws;
   const float* first_query = gen.queries.Row(0);
-  const auto top5 = searcher.Search(first_query, 5, options);
+  const StatusOr<std::vector<Neighbor>> top5 =
+      searcher.TrySearch(first_query, 5, options, &ws);
+  if (!top5.ok()) {
+    std::fprintf(stderr, "search failed: %s\n",
+                 top5.status().ToString().c_str());
+    return 1;
+  }
   std::printf("\ntop-5 for query 0:\n");
-  for (const Neighbor& n : top5) {
+  for (const Neighbor& n : *top5) {
     std::printf("  id=%6u  dist=%.4f\n", n.id, n.dist);
   }
 
   // 4. Recall@10 across all queries vs exact search.
   FlatIndex flat(&gen.points, Metric::kL2);
   const auto exact = FlatIndex::Ids(flat.BatchSearch(gen.queries, 10));
-  SongWorkspace ws;
   std::vector<std::vector<idx_t>> results(gen.queries.num());
   SearchStats stats;
   for (size_t q = 0; q < gen.queries.num(); ++q) {
-    const auto found = searcher.Search(gen.queries.Row(static_cast<idx_t>(q)),
-                                       10, options, &ws, &stats);
-    for (const Neighbor& n : found) results[q].push_back(n.id);
+    const auto found = searcher.TrySearch(
+        gen.queries.Row(static_cast<idx_t>(q)), 10, options, &ws, &stats);
+    for (const Neighbor& n : found.value()) results[q].push_back(n.id);
   }
   std::printf("\nrecall@10 = %.3f\n", MeanRecallAtK(results, exact, 10));
   std::printf("avg distance computations per query: %.0f\n",

@@ -50,8 +50,9 @@ int main() {
   for (const Config& config : configs) {
     SongSearchOptions options = config.options;
     options.queue_size = 512;
-    const SimulatedRun run = SimulateBatch(searcher, gen.queries, 10,
-                                           options, GpuSpec::V100());
+    const SimulatedRun run = TrySimulateBatch(searcher, gen.queries, 10,
+                                              options, GpuSpec::V100())
+                                 .value();
     const double recall = MeanRecallAtK(run.batch.Ids(), truth, 10);
     std::printf("%-20s %10.3f %12.0f %14zu %10zu %8s\n", config.name, recall,
                 run.SimQps(), run.batch.stats.visited_capacity_bytes,

@@ -44,26 +44,6 @@ ShardedSongIndex::ShardedSongIndex(const Dataset* data, Metric metric,
   }
 }
 
-ShardedSearchResult ShardedSongIndex::Search(
-    const Dataset& queries, size_t k, const SongSearchOptions& options,
-    size_t num_threads) const {
-  StatusOr<ShardedSearchResult> result =
-      TrySearch(queries, k, options, ShardedResilienceOptions{}, num_threads);
-  if (!result.ok()) {
-    SONG_LOG(WARN) << "sharded search failed: "
-                   << result.status().ToString();
-    ShardedSearchResult empty;
-    empty.results.resize(queries.num());
-    empty.shard_stats.resize(shards_.size());
-    empty.shards_total = shards_.size();
-    empty.shard_ok.assign(shards_.size(), 0);
-    empty.shard_retries.assign(shards_.size(), 0);
-    empty.degraded = true;
-    return empty;
-  }
-  return std::move(result).value();
-}
-
 Status ShardedSongIndex::SearchOneShard(
     size_t s, const Dataset& queries, size_t k,
     const SongSearchOptions& options, size_t num_threads,
@@ -81,11 +61,21 @@ Status ShardedSongIndex::SearchOneShard(
   std::vector<SongWorkspace> workspaces(
       std::max<size_t>(1, num_threads == 0 ? 1 : num_threads));
   std::vector<SearchStats> thread_stats(workspaces.size());
+  std::vector<Status> errors(queries.num());
+  const size_t shard_k = ShardK(s, k);
   ParallelFor(queries.num(), workspaces.size(), [&](size_t q, size_t t) {
-    (*results)[q] = shards_[s]->searcher->Search(
-        queries.Row(static_cast<idx_t>(q)), k, options, &workspaces[t],
+    StatusOr<std::vector<Neighbor>> found = shards_[s]->searcher->TrySearch(
+        queries.Row(static_cast<idx_t>(q)), shard_k, options, &workspaces[t],
         &thread_stats[t]);
+    if (found.ok()) {
+      (*results)[q] = std::move(found).value();
+    } else {
+      errors[q] = found.status();
+    }
   });
+  // TrySearch validated the request up front, so a refusal here means the
+  // shard itself is unfit; report the lowest failing query.
+  for (const Status& e : errors) SONG_RETURN_IF_ERROR(e);
 
   if (fault::ShouldFail(prefix + "dtoh")) {
     return Status::Unavailable("injected fault: " + prefix +
@@ -95,6 +85,32 @@ Status ShardedSongIndex::SearchOneShard(
   // was retried contributes each unit of work exactly once.
   *stats = SearchStats{};
   for (const SearchStats& ts : thread_stats) stats->Add(ts);
+  return Status::OK();
+}
+
+Status ShardedSongIndex::ValidateRequest(
+    const Dataset& queries, size_t k, const SongSearchOptions& options) const {
+  if (queries.dim() != full_data_->dim()) {
+    return Status::InvalidArgument(
+        "query dim " + std::to_string(queries.dim()) +
+        " does not match index dim " + std::to_string(full_data_->dim()));
+  }
+  if (k == 0) {
+    return Status::InvalidArgument("k must be >= 1");
+  }
+  if (k > full_data_->num()) {
+    return Status::InvalidArgument(
+        "k = " + std::to_string(k) + " exceeds the dataset size " +
+        std::to_string(full_data_->num()));
+  }
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    SONG_RETURN_IF_ERROR(
+        shards_[s]->searcher->ValidateOptions(ShardK(s, k), options));
+  }
+  for (size_t q = 0; q < queries.num(); ++q) {
+    SONG_RETURN_IF_ERROR(shards_.front()->searcher->ValidateQuery(
+        queries.Row(static_cast<idx_t>(q))));
+  }
   return Status::OK();
 }
 
@@ -120,15 +136,10 @@ StatusOr<ShardedSearchResult> ShardedSongIndex::TrySearch(
     resilience.flight_recorder->Record(rec);
   };
 
-  if (queries.dim() != full_data_->dim()) {
-    record(StatusCode::kInvalidArgument, false, true, 0, shards_.size());
-    return Status::InvalidArgument(
-        "query dim " + std::to_string(queries.dim()) +
-        " does not match index dim " + std::to_string(full_data_->dim()));
-  }
-  if (k == 0) {
-    record(StatusCode::kInvalidArgument, false, true, 0, shards_.size());
-    return Status::InvalidArgument("k must be >= 1");
+  const Status invalid = ValidateRequest(queries, k, options);
+  if (!invalid.ok()) {
+    record(invalid.code(), false, true, 0, shards_.size());
+    return invalid;
   }
 
   ShardedSearchResult out;

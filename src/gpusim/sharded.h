@@ -12,6 +12,7 @@
 #ifndef SONG_GPUSIM_SHARDED_H_
 #define SONG_GPUSIM_SHARDED_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -60,7 +61,7 @@ struct ShardedSearchResult {
   /// Per-shard aggregate counters (zeroed for shards that never succeeded).
   std::vector<SearchStats> shard_stats;
   double wall_seconds = 0.0;
-  /// Fault-tolerance accounting (TrySearch; Search leaves the defaults).
+  /// Fault-tolerance accounting.
   size_t shards_total = 0;
   size_t shards_answered = 0;
   std::vector<uint8_t> shard_ok;        ///< 1 = shard contributed results
@@ -108,18 +109,16 @@ class ShardedSongIndex {
   }
 
   /// Searches every shard and merges the per-shard top-k into global-id
-  /// results.
-  ShardedSearchResult Search(const Dataset& queries, size_t k,
-                             const SongSearchOptions& options,
-                             size_t num_threads = 0) const;
-
-  /// Fault-tolerant sharded search. Each shard attempt passes the
-  /// deterministic fault sites `shardN.htod`, `shardN.kernel` and
-  /// `shardN.dtoh` (core/fault_injection.h); a failing shard is retried
-  /// per `resilience`, then dropped (partial merge) or escalated. Returns
+  /// results, the index's only entry point. The request is validated once,
+  /// before any shard is attempted: a query/index dim mismatch, k outside
+  /// [1, total points], options SongSearcher::ValidateOptions refuses, or a
+  /// null/NaN/Inf query returns that Status with no shard attempted,
+  /// retried or counted. Each shard attempt then passes the deterministic
+  /// fault sites `shardN.htod`, `shardN.kernel` and `shardN.dtoh`
+  /// (core/fault_injection.h); a failing shard is retried per
+  /// `resilience`, then dropped (partial merge) or escalated. Returns
   /// kUnavailable when no shard answers (or any shard fails with
-  /// allow_partial off), kInvalidArgument on a query/index dim mismatch.
-  /// With no faults injected the merged results are identical to Search().
+  /// allow_partial off).
   StatusOr<ShardedSearchResult> TrySearch(
       const Dataset& queries, size_t k, const SongSearchOptions& options,
       const ShardedResilienceOptions& resilience = {},
@@ -133,6 +132,11 @@ class ShardedSongIndex {
                                  const SongSearchOptions& options) const;
 
  private:
+  /// The up-front check TrySearch runs before any shard attempt: batch
+  /// dim, k, every shard's ValidateOptions and every query's payload.
+  Status ValidateRequest(const Dataset& queries, size_t k,
+                         const SongSearchOptions& options) const;
+
   struct Shard {
     Dataset data;                 // copy of the shard's rows
     std::vector<idx_t> global_ids;  // shard-local id -> global id
@@ -141,12 +145,20 @@ class ShardedSongIndex {
   };
 
   /// One attempt at shard `s`: checks the htod/kernel fault sites, runs
-  /// every query, checks the dtoh site, then (only on success) publishes
-  /// results + stats — so a retried attempt never double-counts.
+  /// every query through SongSearcher::TrySearch (the shard's own k,
+  /// capped at its point count), checks the dtoh site, then (only on
+  /// success) publishes results + stats — so a retried attempt never
+  /// double-counts.
   Status SearchOneShard(size_t s, const Dataset& queries, size_t k,
                         const SongSearchOptions& options, size_t num_threads,
                         std::vector<std::vector<Neighbor>>* results,
                         SearchStats* stats) const;
+
+  /// The k a shard searches with: k capped at the shard's point count (a
+  /// shard can return no more than it holds).
+  size_t ShardK(size_t s, size_t k) const {
+    return std::min(k, shards_[s]->data.num());
+  }
 
   const Dataset* full_data_;
   Metric metric_;

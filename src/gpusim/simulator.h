@@ -32,62 +32,25 @@ struct SimulatedRun {
   double SimQps() const { return gpu.Qps(batch.num_queries); }
 };
 
-/// Executes `queries` through the SONG pipeline and prices the collected
-/// counters on `spec`. `telemetry` (optional) enables sampled per-query
-/// traces and metric recording; the simulated profile is surfaced into the
-/// telemetry registry as `song.gpu.*`.
-inline SimulatedRun SimulateBatch(const SongSearcher& searcher,
-                                  const Dataset& queries, size_t k,
-                                  const SongSearchOptions& options,
-                                  const GpuSpec& spec,
-                                  size_t num_threads = 0,
-                                  const BatchTelemetry& telemetry = {}) {
-  SimulatedRun run;
-  BatchEngine engine(&searcher, num_threads);
-  run.batch = engine.Search(queries, k, options, telemetry);
-
-  WorkloadShape shape;
-  shape.num_queries = queries.num();
-  shape.dim = searcher.data().dim();
-  shape.point_bytes = searcher.data().dim() * sizeof(float);
-  shape.k = k;
-  shape.queue_size = std::max(options.queue_size, k);
-  shape.degree = searcher.graph().degree();
-  shape.multi_query = options.multi_query;
-  shape.multi_step = options.multi_step_probe;
-  shape.structure = options.structure;
-  if (options.quant == QuantizationMode::kPq && searcher.pq_enabled()) {
-    shape.pq_m = searcher.pq_distance()->code_bytes();
-    shape.full_point_bytes = shape.point_bytes;
-    shape.point_bytes = shape.pq_m;  // Stage 2 fetches m-byte codes
-  }
-  run.shape = shape;
-
-  CostModel model(spec);
-  run.gpu = model.Estimate(run.batch.stats, shape);
-  RecordKernelBreakdown(run.gpu, run.batch.num_queries, spec,
-                        telemetry.registry);
-  return run;
-}
-
-/// Checked simulation for serving paths. Wraps the batch in the
+/// Executes `queries` through the SONG pipeline (BatchEngine::TrySearch,
+/// so the batch is validated and a NaN/Inf query is rejected, not searched)
+/// and prices the collected counters on `spec`. The batch is wrapped in the
 /// deterministic `transfer.htod` / `transfer.dtoh` fault sites (a tripped
-/// transfer returns kUnavailable — the caller may retry) and routes
-/// execution through BatchEngine::TrySearch, picking up query validation
-/// and admission control. With no faults armed and default admission the
-/// results are identical to SimulateBatch.
+/// transfer returns kUnavailable — the caller may retry); with no fault
+/// spec armed each site costs one relaxed load. `telemetry` (optional)
+/// enables sampled per-query traces and metric recording; the simulated
+/// profile is surfaced into the telemetry registry as `song.gpu.*`.
 inline StatusOr<SimulatedRun> TrySimulateBatch(
     const SongSearcher& searcher, const Dataset& queries, size_t k,
     const SongSearchOptions& options, const GpuSpec& spec,
-    size_t num_threads = 0, const BatchTelemetry& telemetry = {},
-    const BatchAdmission& admission = {}) {
+    size_t num_threads = 0, const BatchTelemetry& telemetry = {}) {
   if (fault::ShouldFail("transfer.htod")) {
     return Status::Unavailable("injected fault: transfer.htod (query upload)");
   }
   SimulatedRun run;
   BatchEngine engine(&searcher, num_threads);
   StatusOr<BatchResult> batch =
-      engine.TrySearch(queries, k, options, telemetry, admission);
+      engine.TrySearch(queries, k, options, telemetry);
   if (!batch.ok()) return batch.status();
   run.batch = std::move(batch).value();
   if (fault::ShouldFail("transfer.dtoh")) {
@@ -119,7 +82,7 @@ inline StatusOr<SimulatedRun> TrySimulateBatch(
   return run;
 }
 
-/// Same as SimulateBatch for the hashed (out-of-GPU-memory, §VII) index:
+/// Same as TrySimulateBatch for the hashed (out-of-GPU-memory, §VII) index:
 /// the device holds bits/8-byte codes, and the host hashes queries before
 /// the HtoD transfer.
 inline SimulatedRun SimulateHashedBatch(const HashedSongIndex& index,

@@ -14,8 +14,9 @@
 // holds to within per-record float rounding over any number of requests —
 // the invariant tools/validate_telemetry.py enforces on --statusz dumps.
 //
-// Everything here is opt-in: the unchecked Search path never touches these
-// types, and a null registry/recorder makes every Record call a no-op.
+// Everything here is opt-in: SongSearcher::TrySearch never touches these
+// types (its callers stamp and emit), and a null registry/recorder makes
+// every Record call a no-op.
 
 #ifndef SONG_OBS_REQUEST_TIMELINE_H_
 #define SONG_OBS_REQUEST_TIMELINE_H_
@@ -51,8 +52,8 @@ inline constexpr uint64_t kFnv1aOffset = 0xcbf29ce484222325ull;
 ///   enqueue      request arrival (TrySearch entry)
 ///   admitted     admission control passed (queue wait ends)
 ///   batched      a worker claimed the query (batch formation ends)
-///   search_begin validation passed, Search is about to run
-///   complete     Search returned (degraded or not) or validation rejected
+///   search_begin the search (with its per-query validation) is about to run
+///   complete     the search returned (degraded or not) or was rejected
 struct RequestTimeline {
   double enqueue_us = 0.0;
   double admitted_us = 0.0;
@@ -180,11 +181,10 @@ class RequestMetrics {
 
 class FlightRecorder;  // obs/flight_recorder.h
 
-/// Sink bundle for single-query serving paths (SongSearcher::TrySearch /
-/// IndexSnapshot::TrySearch). The caller owns stamping of the pre-search
-/// stages (queue_us / batch_form_us); the searcher measures search_us,
-/// composes the RequestRecord and emits it to both sinks. Either sink may
-/// be null.
+/// Sink bundle for the single-query snapshot path (IndexSnapshot::TrySearch).
+/// The caller owns stamping of the pre-search stages (queue_us /
+/// batch_form_us); the snapshot measures search_us, composes the
+/// RequestRecord and emits it to both sinks. Either sink may be null.
 struct RequestObserver {
   const RequestMetrics* metrics = nullptr;
   FlightRecorder* recorder = nullptr;

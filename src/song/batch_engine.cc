@@ -63,48 +63,33 @@ BatchEngine::BatchEngine(const SongSearcher* searcher, size_t num_threads)
   SONG_CHECK(searcher != nullptr);
 }
 
-BatchResult BatchEngine::Search(const Dataset& queries, size_t k,
-                                const SongSearchOptions& options) const {
-  return Search(queries, k, options, BatchTelemetry{});
-}
-
-BatchResult BatchEngine::Search(const Dataset& queries, size_t k,
-                                const SongSearchOptions& options,
-                                const BatchTelemetry& telemetry) const {
-  return RunBatch(queries, k, options, telemetry, /*validate=*/false);
-}
-
 StatusOr<BatchResult> BatchEngine::TrySearch(
     const Dataset& queries, size_t k, const SongSearchOptions& options,
-    const BatchTelemetry& telemetry, const BatchAdmission& admission) const {
+    const BatchTelemetry& telemetry) const {
   // Request lifecycle (enqueue stamp + ids + per-stage histograms) is armed
-  // only when telemetry asks for it; otherwise this path is stamp-free and
-  // results/allocations match the pre-lifecycle engine exactly.
+  // only when telemetry asks for it; otherwise this path is stamp-free.
   const bool lifecycle_on = telemetry.registry != nullptr ||
                             telemetry.flight_recorder != nullptr;
-  Timer clock;  // epoch: request arrival (the enqueue stamp is 0)
+  const Timer clock;  // epoch: request arrival (the enqueue stamp is 0)
   const uint64_t id_base =
       lifecycle_on ? request_seq_.fetch_add(
                          std::max<uint64_t>(queries.num(), 1),
                          std::memory_order_relaxed)
                    : 0;
-
-  // Records a single turned-away record for the whole batch: all lifetime
-  // up to the refusal is queue time (the batch never got admitted).
-  auto record_refusal = [&](const Status& status, bool rejected) {
+  const uint64_t digest = options.Digest(k);
+  // Per-request sinks: histogram pointers are resolved once here, worker
+  // threads record lock-free. Both are no-ops when lifecycle is off.
+  const obs::RequestMetrics req_metrics(lifecycle_on ? telemetry.registry
+                                                     : nullptr);
+  obs::FlightRecorder* recorder =
+      lifecycle_on ? telemetry.flight_recorder : nullptr;
+  auto emit = [&](uint64_t id, const obs::RequestTimeline& tl,
+                  StatusCode code, bool degraded, bool rejected) {
     if (!lifecycle_on) return;
-    obs::RequestTimeline tl;
-    const double now = clock.ElapsedMicros();
-    tl.enqueue_us = 0.0;
-    tl.admitted_us = tl.batched_us = tl.search_begin_us = tl.complete_us =
-        now;
-    obs::RequestRecord rec = obs::RequestRecord::Make(
-        id_base, options.Digest(k), tl, status.code(), /*degraded=*/false,
-        rejected);
-    obs::RequestMetrics(telemetry.registry).Record(rec);
-    if (telemetry.flight_recorder != nullptr) {
-      telemetry.flight_recorder->Record(rec);
-    }
+    const obs::RequestRecord rec =
+        obs::RequestRecord::Make(id, digest, tl, code, degraded, rejected);
+    req_metrics.Record(rec);
+    if (recorder != nullptr) recorder->Record(rec);
   };
 
   const Status invalid =
@@ -115,45 +100,16 @@ StatusOr<BatchResult> BatchEngine::TrySearch(
                 std::to_string(searcher_->data().dim()))
           : searcher_->ValidateOptions(k, options);
   if (!invalid.ok()) {
-    record_refusal(invalid, /*rejected=*/true);
+    // One turned-away record for the whole batch: all lifetime up to the
+    // refusal is queue time (the batch never got admitted).
+    obs::RequestTimeline tl;
+    tl.admitted_us = tl.batched_us = tl.search_begin_us = tl.complete_us =
+        clock.ElapsedMicros();
+    emit(id_base, tl, invalid.code(), /*degraded=*/false, /*rejected=*/true);
     return invalid;
   }
+  const double admitted_us = lifecycle_on ? clock.ElapsedMicros() : 0.0;
 
-  if (admission.max_inflight > 0) {
-    const size_t prior = inflight_.fetch_add(1, std::memory_order_acq_rel);
-    if (prior >= admission.max_inflight) {
-      inflight_.fetch_sub(1, std::memory_order_acq_rel);
-      if (telemetry.registry != nullptr) {
-        telemetry.registry->GetCounter("song.batch.shed").Increment();
-      }
-      Status status = Status::ResourceExhausted(
-          "batch shed: " + std::to_string(prior) +
-          " batches already in flight (max_inflight = " +
-          std::to_string(admission.max_inflight) + ")");
-      record_refusal(status, /*rejected=*/false);
-      return status;
-    }
-  } else {
-    inflight_.fetch_add(1, std::memory_order_acq_rel);
-  }
-  LifecycleContext lifecycle;
-  lifecycle.clock = &clock;
-  lifecycle.enqueue_us = 0.0;
-  lifecycle.admitted_us = clock.ElapsedMicros();
-  lifecycle.request_id_base = id_base;
-  lifecycle.options_digest = options.Digest(k);
-  BatchResult batch = RunBatch(queries, k, options, telemetry,
-                               /*validate=*/true,
-                               lifecycle_on ? &lifecycle : nullptr);
-  inflight_.fetch_sub(1, std::memory_order_acq_rel);
-  return batch;
-}
-
-BatchResult BatchEngine::RunBatch(const Dataset& queries, size_t k,
-                                  const SongSearchOptions& options,
-                                  const BatchTelemetry& telemetry,
-                                  bool validate,
-                                  const LifecycleContext* lifecycle) const {
   BatchResult batch;
   batch.num_queries = queries.num();
   batch.results.resize(queries.num());
@@ -168,61 +124,33 @@ BatchResult BatchEngine::RunBatch(const Dataset& queries, size_t k,
                                   telemetry.trace_seed);
   obs::TraceCollector collector(telemetry.max_traces);
 
-  // Per-request sinks: histogram pointers are resolved once here, worker
-  // threads record lock-free. Both are no-ops when lifecycle is off.
-  const obs::RequestMetrics req_metrics(
-      lifecycle != nullptr ? telemetry.registry : nullptr);
-  obs::FlightRecorder* recorder =
-      lifecycle != nullptr ? telemetry.flight_recorder : nullptr;
-
   Timer timer;
   ParallelFor(queries.num(), num_threads_, [&](size_t qi, size_t tid) {
     obs::RequestTimeline tl;
-    if (lifecycle != nullptr) {
-      tl.enqueue_us = lifecycle->enqueue_us;
-      tl.admitted_us = lifecycle->admitted_us;
-      tl.batched_us = lifecycle->clock->ElapsedMicros();
-    }
-    auto emit = [&](StatusCode code, bool degraded, bool rejected) {
-      if (lifecycle == nullptr) return;
-      const obs::RequestRecord rec = obs::RequestRecord::Make(
-          lifecycle->request_id_base + qi, lifecycle->options_digest, tl,
-          code, degraded, rejected);
-      req_metrics.Record(rec);
-      if (recorder != nullptr) recorder->Record(rec);
-    };
-
-    const float* query = queries.Row(static_cast<idx_t>(qi));
-    if (validate) {
-      const Status vs = searcher_->ValidateQuery(query);
-      if (!vs.ok()) {
-        batch.rejected[qi] = 1;
-        batch.latencies_us[qi] = 0.0f;
-        if (lifecycle != nullptr) {
-          tl.search_begin_us = tl.complete_us =
-              lifecycle->clock->ElapsedMicros();
-        }
-        emit(vs.code(), /*degraded=*/false, /*rejected=*/true);
-        return;
-      }
+    if (lifecycle_on) {
+      tl.admitted_us = admitted_us;
+      tl.batched_us = tl.search_begin_us = clock.ElapsedMicros();
     }
     const bool traced = sampler.ShouldSample(qi);
     obs::SearchTrace trace;
     bool degraded = false;
-    if (lifecycle != nullptr) {
-      tl.search_begin_us = lifecycle->clock->ElapsedMicros();
-    }
     Timer query_timer;
-    batch.results[qi] =
-        searcher_->Search(query, k, options, &workspaces[tid],
-                          &thread_stats[tid], traced ? &trace : nullptr,
-                          &degraded);
-    batch.latencies_us[qi] = static_cast<float>(query_timer.ElapsedMicros());
-    if (lifecycle != nullptr) {
-      tl.complete_us = lifecycle->clock->ElapsedMicros();
+    StatusOr<std::vector<Neighbor>> found = searcher_->TrySearch(
+        queries.Row(static_cast<idx_t>(qi)), k, options, &workspaces[tid],
+        &thread_stats[tid], traced ? &trace : nullptr, &degraded);
+    if (lifecycle_on) tl.complete_us = clock.ElapsedMicros();
+    if (!found.ok()) {
+      tl.search_begin_us = tl.complete_us;  // refused before any search
+      batch.rejected[qi] = 1;
+      batch.latencies_us[qi] = 0.0f;
+      emit(id_base + qi, tl, found.status().code(), /*degraded=*/false,
+           /*rejected=*/true);
+      return;
     }
+    batch.results[qi] = std::move(found).value();
+    batch.latencies_us[qi] = static_cast<float>(query_timer.ElapsedMicros());
     if (degraded) batch.degraded[qi] = 1;
-    emit(StatusCode::kOk, degraded, /*rejected=*/false);
+    emit(id_base + qi, tl, StatusCode::kOk, degraded, /*rejected=*/false);
     if (traced) {
       trace.query_id = qi;
       trace.wall_micros = static_cast<double>(batch.latencies_us[qi]);

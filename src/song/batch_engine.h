@@ -24,15 +24,6 @@
 
 namespace song {
 
-/// Admission control for TrySearch. `max_inflight` bounds the number of
-/// batches the engine serves concurrently; a batch arriving past the limit
-/// is shed immediately with kResourceExhausted rather than queued — the
-/// caller (a serving tier) decides whether to retry, reroute, or drop.
-/// 0 = unlimited (no admission check at all).
-struct BatchAdmission {
-  size_t max_inflight = 0;
-};
-
 /// Opt-in observability for a batch run: per-query traces at 1-in-M
 /// sampling and/or metric recording into a registry. The defaults (no
 /// registry, period 0) make telemetry a no-op.
@@ -46,8 +37,7 @@ struct BatchTelemetry {
   /// Hard cap on collected traces per batch.
   size_t max_traces = 4096;
   /// Post-mortem ring for completed request records; nullptr disables it.
-  /// Only the checked TrySearch path records (Search stays lifecycle-free),
-  /// and each record is one wait-free, allocation-free ring write.
+  /// Each record is one wait-free, allocation-free ring write.
   obs::FlightRecorder* flight_recorder = nullptr;
 };
 
@@ -66,7 +56,7 @@ struct BatchResult {
   /// Per-query flags, same order as `results`: `degraded[q]` set when a
   /// deadline/cost budget cut query q short (its results are valid but
   /// best-so-far); `rejected[q]` set when validation refused the query
-  /// (TrySearch only — its result list is empty).
+  /// (its result list is empty).
   std::vector<uint8_t> degraded;
   std::vector<uint8_t> rejected;
   size_t queries_degraded = 0;
@@ -98,59 +88,24 @@ class BatchEngine {
   /// `searcher` must outlive the engine. 0 threads = hardware concurrency.
   explicit BatchEngine(const SongSearcher* searcher, size_t num_threads = 0);
 
-  /// Runs every query in `queries`, returning results, wall time and
-  /// aggregated counters.
-  BatchResult Search(const Dataset& queries, size_t k,
-                     const SongSearchOptions& options) const;
-
-  /// Same, with sampled per-query tracing and metric recording. Tracing a
-  /// 1-in-M sample adds one deterministic hash per query and a null check
-  /// per search iteration for the untraced majority.
-  BatchResult Search(const Dataset& queries, size_t k,
-                     const SongSearchOptions& options,
-                     const BatchTelemetry& telemetry) const;
-
-  /// Checked batch search: validates the batch shape and options up front
-  /// (dim mismatch, SongSearcher::ValidateOptions), applies
-  /// admission control (`admission.max_inflight`), and screens each query
-  /// for NaN/Inf — a bad query is recorded in `rejected` with an empty
-  /// result list instead of poisoning the batch. A shed batch returns
-  /// kResourceExhausted and bumps `song.batch.shed`. Valid queries behave
-  /// exactly as under Search().
+  /// Batch search, the engine's only entry point: validates the batch
+  /// shape and options up front (dim mismatch,
+  /// SongSearcher::ValidateOptions), then runs every query through
+  /// SongSearcher::TrySearch — a query it refuses (NaN/Inf) is recorded in
+  /// `rejected` with an empty result list instead of poisoning the batch.
+  /// Returns results, wall time and aggregated counters. `telemetry` adds
+  /// sampled per-query tracing (one deterministic hash per query and a null
+  /// check per search iteration for the untraced majority), metric
+  /// recording and request-lifecycle records.
   StatusOr<BatchResult> TrySearch(const Dataset& queries, size_t k,
                                   const SongSearchOptions& options,
-                                  const BatchTelemetry& telemetry = {},
-                                  const BatchAdmission& admission = {}) const;
+                                  const BatchTelemetry& telemetry = {}) const;
 
   size_t num_threads() const { return num_threads_; }
 
-  /// Batches currently executing (admission-control accounting).
-  size_t inflight() const {
-    return inflight_.load(std::memory_order_relaxed);
-  }
-
  private:
-  /// Request-lifecycle context for one checked batch: the shared monotonic
-  /// epoch (workers read the const Timer concurrently) plus the stamps and
-  /// identity taken before the workers fan out. Present only when telemetry
-  /// enables a registry or flight recorder; the unchecked Search path and
-  /// telemetry-free TrySearch runs pass nullptr and skip every stamp.
-  struct LifecycleContext {
-    const Timer* clock = nullptr;
-    double enqueue_us = 0.0;
-    double admitted_us = 0.0;
-    uint64_t request_id_base = 0;
-    uint64_t options_digest = 0;
-  };
-
-  BatchResult RunBatch(const Dataset& queries, size_t k,
-                       const SongSearchOptions& options,
-                       const BatchTelemetry& telemetry, bool validate,
-                       const LifecycleContext* lifecycle = nullptr) const;
-
   const SongSearcher* searcher_;
   size_t num_threads_;
-  mutable std::atomic<size_t> inflight_{0};
   /// Process-lifetime request ids for flight-recorder records.
   mutable std::atomic<uint64_t> request_seq_{0};
 };

@@ -31,32 +31,6 @@ size_t IndexSnapshot::CompensatedK(size_t k) const {
   return std::min(num_points(), k + tombstone_count());
 }
 
-std::vector<Neighbor> IndexSnapshot::Search(const float* query, size_t k,
-                                            const SongSearchOptions& options,
-                                            SongWorkspace* workspace,
-                                            SearchStats* stats,
-                                            bool* degraded) const {
-  if (degraded != nullptr) *degraded = false;
-  if (k == 0 || live_points_ == 0 || !searcher_.has_value()) return {};
-  const size_t k_eff = CompensatedK(k);
-  std::vector<Neighbor> raw =
-      searcher_->Search(query, k_eff, options, workspace, stats,
-                        /*trace=*/nullptr, degraded);
-  if (tombstone_count() == 0) {
-    // k_eff == k and nothing to filter: the frozen path returns the searcher
-    // output untouched (the strict no-op contract).
-    return raw;
-  }
-  std::vector<Neighbor> out;
-  out.reserve(std::min(k, raw.size()));
-  for (const Neighbor& n : raw) {
-    if ((*tombstones_)[n.id] != 0) continue;
-    out.push_back(n);
-    if (out.size() == k) break;
-  }
-  return out;
-}
-
 StatusOr<std::vector<Neighbor>> IndexSnapshot::TrySearch(
     const float* query, size_t k, const SongSearchOptions& options,
     SongWorkspace* workspace, SearchStats* stats, bool* degraded,
@@ -81,25 +55,37 @@ StatusOr<std::vector<Neighbor>> IndexSnapshot::TrySearch(
     emit(0.0f, status.code(), /*degraded=*/false, /*rejected=*/true);
     return status;
   }
+  if (degraded != nullptr) *degraded = false;
   if (live_points_ == 0 || !searcher_.has_value()) {
-    if (degraded != nullptr) *degraded = false;
     emit(0.0f, StatusCode::kOk, /*degraded=*/false, /*rejected=*/false);
     return std::vector<Neighbor>{};
   }
-  const Status vs =
-      searcher_->ValidateRequest(query, CompensatedK(k), options);
-  if (!vs.ok()) {
-    emit(0.0f, vs.code(), /*degraded=*/false, /*rejected=*/true);
-    return vs;
-  }
   bool local_degraded = false;
   Timer search_timer;
-  std::vector<Neighbor> result =
-      Search(query, k, options, workspace, stats, &local_degraded);
+  StatusOr<std::vector<Neighbor>> raw =
+      searcher_->TrySearch(query, CompensatedK(k), options, workspace, stats,
+                           /*trace=*/nullptr, &local_degraded);
+  if (!raw.ok()) {
+    emit(0.0f, raw.status().code(), /*degraded=*/false, /*rejected=*/true);
+    return raw.status();
+  }
+  std::vector<Neighbor> out;
+  if (tombstone_count() == 0) {
+    // k_eff == k and nothing to filter: the frozen path returns the searcher
+    // output untouched (the strict no-op contract).
+    out = std::move(raw).value();
+  } else {
+    out.reserve(std::min(k, raw->size()));
+    for (const Neighbor& n : *raw) {
+      if ((*tombstones_)[n.id] != 0) continue;
+      out.push_back(n);
+      if (out.size() == k) break;
+    }
+  }
   emit(static_cast<float>(search_timer.ElapsedMicros()), StatusCode::kOk,
        local_degraded, /*rejected=*/false);
   if (degraded != nullptr) *degraded = local_degraded;
-  return result;
+  return out;
 }
 
 }  // namespace song

@@ -10,7 +10,7 @@
 // Deletes are tombstones: a deleted vertex stays in the graph and remains
 // traversable (it still routes searches through its neighborhood, which is
 // what keeps recall stable under churn) but is filtered out of the result
-// heap. To compensate, Search widens the internal k by the tombstone count
+// heap. To compensate, TrySearch widens the internal k by the tombstone count
 // (capped at the point count) before filtering — with zero tombstones the
 // widening vanishes and the snapshot layer is a strict no-op over a plain
 // SongSearcher (pinned by tests/song/snapshot_isolation_test.cc).
@@ -28,6 +28,7 @@
 #include "core/status.h"
 #include "core/types.h"
 #include "graph/fixed_degree_graph.h"
+#include "obs/request_timeline.h"
 #include "song/search_options.h"
 #include "song/song_searcher.h"
 
@@ -69,7 +70,7 @@ class IndexSnapshot {
 
   /// The underlying searcher over *all* vertices (tombstones included), or
   /// nullptr when the snapshot is empty. Exposed for the frozen no-op test;
-  /// normal callers go through Search below.
+  /// normal callers go through TrySearch below.
   const SongSearcher* searcher() const {
     return searcher_.has_value() ? &*searcher_ : nullptr;
   }
@@ -80,20 +81,14 @@ class IndexSnapshot {
   size_t CompensatedK(size_t k) const;
 
   /// Top-k live neighbors, ascending (dist, id); at most k entries, fewer
-  /// when the reachable live set is smaller. Unlike SongSearcher::Search a
-  /// k larger than the point count is served (capped), since callers size k
-  /// against a moving live count. Empty snapshot or zero live points -> {}.
-  std::vector<Neighbor> Search(const float* query, size_t k,
-                               const SongSearchOptions& options,
-                               SongWorkspace* workspace,
-                               SearchStats* stats = nullptr,
-                               bool* degraded = nullptr) const;
-
-  /// Checked variant: validates the query payload and option admission via
-  /// SongSearcher::ValidateRequest before touching any per-query structure.
-  /// Snapshots never carry a PQ codebook (online inserts would race the
-  /// pinned encoder), so options.quant == kPq is rejected here with
-  /// FailedPrecondition — quantized traversal is a static-index feature.
+  /// when the reachable live set is smaller. Unlike SongSearcher::TrySearch
+  /// a k larger than the point count is served (capped), since callers size
+  /// k against a moving live count; k == 0 is refused. An empty snapshot or
+  /// zero live points -> OK and {}. Otherwise the request is validated once,
+  /// by SongSearcher::TrySearch at the compensated k. Snapshots never carry
+  /// a PQ codebook (online inserts would race the pinned encoder), so
+  /// options.quant == kPq is rejected with FailedPrecondition — quantized
+  /// traversal is a static-index feature.
   /// When `observer` is non-null, one RequestRecord is emitted per call
   /// (served, degraded, or rejected) with this snapshot's version stamped
   /// in — the caller's observer need not know which MVCC version it hit.

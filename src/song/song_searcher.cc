@@ -102,35 +102,6 @@ void SongSearcher::SetResultIdMap(std::vector<idx_t> new_to_old) {
   result_id_map_ = std::move(new_to_old);
 }
 
-std::vector<Neighbor> SongSearcher::Search(const float* query, size_t k,
-                                           const SongSearchOptions& options,
-                                           SearchStats* stats) const {
-  SongWorkspace workspace;
-  return Search(query, k, options, &workspace, stats);
-}
-
-std::vector<Neighbor> SongSearcher::Search(const float* query, size_t k,
-                                           const SongSearchOptions& options,
-                                           SongWorkspace* workspace,
-                                           SearchStats* stats,
-                                           obs::SearchTrace* trace,
-                                           bool* degraded) const {
-  SONG_DCHECK(workspace != nullptr);
-  const Dataset& data = *data_;
-  const DenseDistanceFn distance{&batch_dist_, &data, query,
-                                 batch_dist_.QueryNormSqr(query)};
-  if (options.quant == QuantizationMode::kPq) {
-    return SearchPq(query, k, options, workspace, stats, trace, degraded);
-  }
-  std::vector<Neighbor> result = SongSearchCore(
-      *graph_, entry_, data.num(), data.dim() * sizeof(float), distance, k,
-      options, workspace, stats, trace, degraded);
-  if (!result_id_map_.empty()) {
-    for (Neighbor& n : result) n.id = result_id_map_[n.id];
-  }
-  return result;
-}
-
 size_t SongSearcher::RerankPoolSize(size_t k,
                                     const SongSearchOptions& options) {
   const size_t ef = std::max(options.queue_size, k);
@@ -146,9 +117,6 @@ std::vector<Neighbor> SongSearcher::SearchPq(const float* query, size_t k,
                                              SearchStats* stats,
                                              obs::SearchTrace* trace,
                                              bool* degraded) const {
-  SONG_CHECK_MSG(pq_dist_ != nullptr,
-                 "options.quant == kPq but EnablePq was never called; use "
-                 "TrySearch for a Status instead of an abort");
   const PqBatchDistance& pqd = *pq_dist_;
 
   // Stage 0 (PQ only): the per-query asymmetric-distance table. Built once,
@@ -280,30 +248,20 @@ Status SongSearcher::ValidateRequest(const float* query, size_t k,
 StatusOr<std::vector<Neighbor>> SongSearcher::TrySearch(
     const float* query, size_t k, const SongSearchOptions& options,
     SongWorkspace* workspace, SearchStats* stats, obs::SearchTrace* trace,
-    bool* degraded, const obs::RequestObserver* observer) const {
-  if (observer == nullptr) {
-    SONG_RETURN_IF_ERROR(ValidateRequest(query, k, options));
-    return Search(query, k, options, workspace, stats, trace, degraded);
+    bool* degraded) const {
+  SONG_RETURN_IF_ERROR(ValidateRequest(query, k, options));
+  SONG_DCHECK(workspace != nullptr);
+  if (options.quant == QuantizationMode::kPq) {
+    return SearchPq(query, k, options, workspace, stats, trace, degraded);
   }
-
-  // Lifecycle-observed variant: the caller stamped the pre-search stages
-  // (queue / batch_form); this searcher owns the search stage and emits one
-  // record per request, rejected or served.
-  const Status vs = ValidateRequest(query, k, options);
-  if (!vs.ok()) {
-    obs::EmitRequestRecord(*observer, options.Digest(k), 0.0f, vs.code(),
-                           /*degraded=*/false, /*rejected=*/true);
-    return vs;
+  const DenseDistanceFn distance{&batch_dist_, data_, query,
+                                 batch_dist_.QueryNormSqr(query)};
+  std::vector<Neighbor> result = SongSearchCore(
+      *graph_, entry_, data_->num(), data_->dim() * sizeof(float), distance,
+      k, options, workspace, stats, trace, degraded);
+  if (!result_id_map_.empty()) {
+    for (Neighbor& n : result) n.id = result_id_map_[n.id];
   }
-  bool local_degraded = false;
-  Timer search_timer;
-  std::vector<Neighbor> result =
-      Search(query, k, options, workspace, stats, trace, &local_degraded);
-  obs::EmitRequestRecord(*observer, options.Digest(k),
-                         static_cast<float>(search_timer.ElapsedMicros()),
-                         StatusCode::kOk, local_degraded,
-                         /*rejected=*/false);
-  if (degraded != nullptr) *degraded = local_degraded;
   return result;
 }
 

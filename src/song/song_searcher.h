@@ -26,7 +26,6 @@
 #include "core/types.h"
 #include "graph/fixed_degree_graph.h"
 #include "obs/metrics.h"
-#include "obs/request_timeline.h"
 #include "quant/pq.h"
 #include "quant/pq_distance.h"
 #include "song/search_core.h"
@@ -40,23 +39,6 @@ class SongSearcher {
   /// starting vertex of Algorithm 1.
   SongSearcher(const Dataset* data, const FixedDegreeGraph* graph,
                Metric metric, idx_t entry = 0);
-
-  /// Top-k search for one query. `workspace` may be shared across calls on
-  /// the same thread; `stats` (optional) accumulates work counters; `trace`
-  /// (optional) records a per-iteration obs::SearchTrace for this query;
-  /// `degraded` (optional) is set when a deadline/cost budget cut the
-  /// search short and the result is best-so-far rather than converged.
-  std::vector<Neighbor> Search(const float* query, size_t k,
-                               const SongSearchOptions& options,
-                               SongWorkspace* workspace,
-                               SearchStats* stats = nullptr,
-                               obs::SearchTrace* trace = nullptr,
-                               bool* degraded = nullptr) const;
-
-  /// Convenience overload owning a transient workspace.
-  std::vector<Neighbor> Search(const float* query, size_t k,
-                               const SongSearchOptions& options,
-                               SearchStats* stats = nullptr) const;
 
   /// Largest admissible effective queue size (ef). Guards the fixed
   /// per-query allocations against corrupt or hostile option values.
@@ -76,19 +58,18 @@ class SongSearcher {
   Status ValidateRequest(const float* query, size_t k,
                          const SongSearchOptions& options) const;
 
-  /// Checked search: runs ValidateRequest, then Search. Never aborts on
-  /// malformed input; a budget-terminated search still succeeds and sets
-  /// `*degraded`. When `observer` is non-null the request's lifecycle is
-  /// recorded to its metrics/flight-recorder sinks: the searcher measures
-  /// the search stage itself, adopts the caller-stamped queue/batch_form
-  /// stages, and emits one RequestRecord whether the request was served,
-  /// degraded, or rejected by validation. A null observer leaves this path
-  /// stamp-free and bit-identical to the pre-observability behavior.
+  /// Top-k search for one query, the searcher's only entry point. Runs
+  /// ValidateRequest before touching any per-query structure, so malformed
+  /// input returns a Status and never aborts. `workspace` may be shared
+  /// across calls on the same thread; `stats` (optional) accumulates work
+  /// counters; `trace` (optional) records a per-iteration obs::SearchTrace
+  /// for this query; `degraded` (optional) is set when a deadline/cost
+  /// budget cut the search short and the result is best-so-far rather than
+  /// converged (the search still succeeds).
   StatusOr<std::vector<Neighbor>> TrySearch(
       const float* query, size_t k, const SongSearchOptions& options,
       SongWorkspace* workspace, SearchStats* stats = nullptr,
-      obs::SearchTrace* trace = nullptr, bool* degraded = nullptr,
-      const obs::RequestObserver* observer = nullptr) const;
+      obs::SearchTrace* trace = nullptr, bool* degraded = nullptr) const;
 
   /// Installs a new-id -> old-id mapping applied to result ids at emit
   /// time. Used with reordered indexes (graph/reorder.h): the searcher runs

@@ -149,7 +149,7 @@ TEST(BatchEngine, MatchesSingleThreadedSearch) {
   options.queue_size = 64;
 
   BatchEngine engine(&searcher, 4);
-  const BatchResult batch = engine.Search(w.queries, 10, options);
+  const BatchResult batch = engine.TrySearch(w.queries, 10, options).value();
   ASSERT_EQ(batch.results.size(), w.queries.num());
   EXPECT_GT(batch.wall_seconds, 0.0);
   EXPECT_GT(batch.Qps(), 0.0);
@@ -157,8 +157,10 @@ TEST(BatchEngine, MatchesSingleThreadedSearch) {
 
   SongWorkspace ws;
   for (size_t q = 0; q < 5; ++q) {
-    const auto single = searcher.Search(
-        w.queries.Row(static_cast<idx_t>(q)), 10, options, &ws);
+    const auto single =
+        searcher
+            .TrySearch(w.queries.Row(static_cast<idx_t>(q)), 10, options, &ws)
+            .value();
     ASSERT_EQ(batch.results[q].size(), single.size());
     for (size_t i = 0; i < single.size(); ++i) {
       EXPECT_EQ(batch.results[q][i].id, single[i].id);
@@ -176,7 +178,7 @@ TEST(BatchEngine, AggregatesStats) {
   SongSearcher searcher(&w.data, &graph, w.metric);
   SongSearchOptions options;
   BatchEngine engine(&searcher, 4);
-  const BatchResult batch = engine.Search(w.queries, 10, options);
+  const BatchResult batch = engine.TrySearch(w.queries, 10, options).value();
   EXPECT_GE(batch.stats.distance_computations, w.queries.num());
   EXPECT_GE(batch.stats.iterations, w.queries.num());
 }
@@ -190,7 +192,7 @@ TEST(BatchEngine, IdsViewMatchesResults) {
   const FixedDegreeGraph graph = GetOrBuildNswGraph(w, 16, opts);
   SongSearcher searcher(&w.data, &graph, w.metric);
   BatchEngine engine(&searcher, 2);
-  const BatchResult batch = engine.Search(w.queries, 5, {});
+  const BatchResult batch = engine.TrySearch(w.queries, 5, {}).value();
   const auto ids = batch.Ids();
   for (size_t q = 0; q < ids.size(); ++q) {
     ASSERT_EQ(ids[q].size(), batch.results[q].size());

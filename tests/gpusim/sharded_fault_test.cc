@@ -1,10 +1,12 @@
 // Fault-tolerance tests for the sharded deployment: transient shard faults
 // must be absorbed by retries with no result change, a permanently dead
 // shard must degrade to a partial merge over the survivors (with coverage
-// accounting and recall against the surviving data), and a fully dead
-// fleet must surface kUnavailable instead of fabricating results.
+// accounting and recall against the surviving data), a fully dead fleet
+// must surface kUnavailable instead of fabricating results, and a request
+// validation refuses must be turned away before any shard is attempted.
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -12,6 +14,7 @@
 #include "data/synthetic.h"
 #include "gpusim/sharded.h"
 #include "gtest/gtest.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 
 namespace song {
@@ -69,22 +72,49 @@ bool SameMergedResults(const ShardedSearchResult& a,
   return true;
 }
 
-TEST(ShardedFaults, NoFaultTrySearchMatchesSearch) {
+TEST(ShardedFaults, NoFaultTrySearchMatchesPerShardTrySearch) {
   // Neutralize any ambient spec (e.g. the CI fault-injection leg) so the
   // equality below is exact: both paths run fault-free.
   fault::ScopedFaultSpec clean("", 0);
   const ShardFaultFixture& fx = ShardFaultFixture::Get();
   const ShardedSongIndex index = MakeIndex(fx, 3);
   const SongSearchOptions search = SearchOptions();
-  const ShardedSearchResult plain = index.Search(fx.queries, 10, search, 1);
   const auto checked =
       index.TrySearch(fx.queries, 10, search, ShardedResilienceOptions{}, 1);
   ASSERT_TRUE(checked.ok()) << checked.status().ToString();
-  EXPECT_TRUE(SameMergedResults(plain, *checked));
   EXPECT_FALSE(checked->degraded);
   EXPECT_EQ(checked->shards_answered, checked->shards_total);
   EXPECT_DOUBLE_EQ(checked->Coverage(), 1.0);
   for (const uint32_t r : checked->shard_retries) EXPECT_EQ(r, 0u);
+
+  // Reference: each shard searched query by query through its own
+  // SongSearcher::TrySearch on a fresh workspace, local ids offset to the
+  // contiguous global range, merged and cut to k.
+  std::vector<std::vector<Neighbor>> expected(fx.queries.num());
+  idx_t offset = 0;
+  for (size_t s = 0; s < index.num_shards(); ++s) {
+    const SongSearcher shard(&index.shard_data(s), &index.shard_graph(s),
+                             Metric::kL2);
+    for (size_t q = 0; q < fx.queries.num(); ++q) {
+      SongWorkspace fresh;
+      const auto found = shard.TrySearch(
+          fx.queries.Row(static_cast<idx_t>(q)), 10, search, &fresh);
+      ASSERT_TRUE(found.ok()) << found.status().ToString();
+      for (const Neighbor& n : *found) {
+        expected[q].emplace_back(n.dist, n.id + offset);
+      }
+    }
+    offset += static_cast<idx_t>(index.shard_data(s).num());
+  }
+  for (size_t q = 0; q < fx.queries.num(); ++q) {
+    std::sort(expected[q].begin(), expected[q].end());
+    if (expected[q].size() > 10) expected[q].resize(10);
+    ASSERT_EQ(checked->results[q].size(), expected[q].size()) << q;
+    for (size_t i = 0; i < expected[q].size(); ++i) {
+      EXPECT_EQ(checked->results[q][i].id, expected[q][i].id) << q;
+      EXPECT_EQ(checked->results[q][i].dist, expected[q][i].dist) << q;
+    }
+  }
 }
 
 TEST(ShardedFaults, TransientFaultIsRetriedWithoutResultChange) {
@@ -95,7 +125,7 @@ TEST(ShardedFaults, TransientFaultIsRetriedWithoutResultChange) {
   ShardedSearchResult baseline;
   {
     fault::ScopedFaultSpec clean("", 0);
-    baseline = index.Search(fx.queries, 10, search, 1);
+    baseline = index.TrySearch(fx.queries, 10, search, {}, 1).value();
   }
 
   // shard0's kernel fails exactly once; the retry succeeds deterministically.
@@ -167,7 +197,7 @@ TEST(ShardedFaults, PartialMergeEqualsMergeOfSurvivors) {
   ShardedSearchResult full;
   {
     fault::ScopedFaultSpec clean("", 0);
-    full = index.Search(fx.queries, 10, search, 1);
+    full = index.TrySearch(fx.queries, 10, search, {}, 1).value();
   }
   fault::ScopedFaultSpec scoped("shard2.kernel=1", 13);
   ASSERT_TRUE(scoped.status().ok());
@@ -231,17 +261,67 @@ TEST(ShardedFaults, DimMismatchIsInvalidArgument) {
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(ShardedFaults, FallbackSearchSurvivesDeadShard) {
-  // The legacy Search() entry point must degrade, not crash, when faults
-  // are armed: it logs and returns whatever TrySearch salvaged.
+/// Sends a request that validation must refuse, with every shard's result
+/// download armed to fail: any shard attempt that ran its queries would
+/// trip that site. The refusal must come back with no fault fired, no
+/// retry counted and one rejected flight-recorder record.
+void ExpectRefusedBeforeAnyShard(const Dataset& queries,
+                                 const SongSearchOptions& options,
+                                 StatusCode want) {
   const ShardFaultFixture& fx = ShardFaultFixture::Get();
-  const ShardedSongIndex index = MakeIndex(fx, 3);
-  fault::ScopedFaultSpec scoped("shard0.htod=1", 21);
+  const ShardedSongIndex index = MakeIndex(fx, 2);
+  fault::ScopedFaultSpec scoped("shard*.dtoh=1", 17);
   ASSERT_TRUE(scoped.status().ok());
-  const ShardedSearchResult result =
-      index.Search(fx.queries, 10, SearchOptions(), 1);
-  EXPECT_TRUE(result.degraded);
-  EXPECT_EQ(result.results.size(), fx.queries.num());
+  obs::MetricsRegistry registry;
+  obs::FlightRecorder recorder(4);
+  ShardedResilienceOptions resilience;
+  resilience.registry = &registry;
+  resilience.flight_recorder = &recorder;
+  const auto result = index.TrySearch(queries, 10, options, resilience, 1);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), want) << result.status().ToString();
+  EXPECT_EQ(fault::FaultRegistry::Global().injected_total(), 0u);
+  EXPECT_EQ(registry.GetCounter("song.shard.retries").Value(), 0u);
+  const std::vector<obs::RequestRecord> records = recorder.Snapshot();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].code(), want);
+  EXPECT_EQ(records[0].rejected, 1u);
+  EXPECT_EQ(records[0].shards_answered, 0u);
+  EXPECT_EQ(records[0].shards_total, 2u);
+}
+
+TEST(ShardedFaults, QuantizedSearchIsRefusedBeforeAnyShard) {
+  // No shard carries a PQ codebook.
+  SongSearchOptions options = SearchOptions();
+  options.quant = QuantizationMode::kPq;
+  ExpectRefusedBeforeAnyShard(ShardFaultFixture::Get().queries, options,
+                              StatusCode::kFailedPrecondition);
+}
+
+TEST(ShardedFaults, NanQueryIsRefusedBeforeAnyShard) {
+  const ShardFaultFixture& fx = ShardFaultFixture::Get();
+  Dataset queries(2, fx.queries.dim());
+  queries.SetRow(0, fx.queries.Row(0));
+  std::vector<float> bad(fx.queries.Row(1),
+                         fx.queries.Row(1) + fx.queries.dim());
+  bad[3] = std::numeric_limits<float>::quiet_NaN();
+  queries.SetRow(1, bad.data());
+  ExpectRefusedBeforeAnyShard(queries, SearchOptions(),
+                              StatusCode::kInvalidArgument);
+}
+
+TEST(ShardedFaults, OversizedQueueIsRefusedBeforeAnyShard) {
+  SongSearchOptions options = SearchOptions();
+  options.queue_size = SongSearcher::kMaxQueueSize + 1;
+  ExpectRefusedBeforeAnyShard(ShardFaultFixture::Get().queries, options,
+                              StatusCode::kResourceExhausted);
+}
+
+TEST(ShardedFaults, ZeroMultiStepProbeIsRefusedBeforeAnyShard) {
+  SongSearchOptions options = SearchOptions();
+  options.multi_step_probe = 0;
+  ExpectRefusedBeforeAnyShard(ShardFaultFixture::Get().queries, options,
+                              StatusCode::kInvalidArgument);
 }
 
 }  // namespace

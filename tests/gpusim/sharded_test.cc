@@ -73,7 +73,8 @@ TEST(ShardedSongIndex, ResultsUseGlobalIdsSortedUnique) {
   ShardedSongIndex index(&fx.data, Metric::kL2, options);
   SongSearchOptions search = SongSearchOptions::HashTableSelDel();
   search.queue_size = 64;
-  const ShardedSearchResult result = index.Search(fx.queries, 10, search, 1);
+  const ShardedSearchResult result =
+      index.TrySearch(fx.queries, 10, search, {}, 1).value();
   ASSERT_EQ(result.results.size(), fx.queries.num());
   for (const auto& neighbors : result.results) {
     EXPECT_EQ(neighbors.size(), 10u);
@@ -95,7 +96,8 @@ TEST(ShardedSongIndex, DistancesMatchGlobalData) {
   ShardedSongIndex index(&fx.data, Metric::kL2, options);
   SongSearchOptions search;
   search.queue_size = 32;
-  const ShardedSearchResult result = index.Search(fx.queries, 5, search, 1);
+  const ShardedSearchResult result =
+      index.TrySearch(fx.queries, 5, search, {}, 1).value();
   for (size_t q = 0; q < 5; ++q) {
     for (const Neighbor& n : result.results[q]) {
       const float expect = L2Sqr(fx.queries.Row(static_cast<idx_t>(q)),
@@ -113,7 +115,8 @@ TEST(ShardedSongIndex, RecallComparableToSingleIndex) {
   ShardedSongIndex index(&fx.data, Metric::kL2, options);
   SongSearchOptions search = SongSearchOptions::HashTableSelDel();
   search.queue_size = 96;
-  const ShardedSearchResult result = index.Search(fx.queries, 10, search, 1);
+  const ShardedSearchResult result =
+      index.TrySearch(fx.queries, 10, search, {}, 1).value();
   std::vector<std::vector<idx_t>> ids(result.results.size());
   for (size_t q = 0; q < result.results.size(); ++q) {
     for (const Neighbor& n : result.results[q]) ids[q].push_back(n.id);
@@ -131,7 +134,8 @@ TEST(ShardedSongIndex, GpuEstimateTakesSlowestCard) {
   ShardedSongIndex index(&fx.data, Metric::kL2, options);
   SongSearchOptions search = SongSearchOptions::HashTableSelDel();
   search.queue_size = 64;
-  const ShardedSearchResult result = index.Search(fx.queries, 10, search, 1);
+  const ShardedSearchResult result =
+      index.TrySearch(fx.queries, 10, search, {}, 1).value();
 
   const ShardedGpuEstimate fast = index.EstimateGpu(
       result, {GpuSpec::V100(), GpuSpec::V100()}, fx.queries.num(), 10,
@@ -156,7 +160,8 @@ TEST(ShardedSongIndex, MismatchedGpuCountAborts) {
   options.num_threads = 1;
   ShardedSongIndex index(&fx.data, Metric::kL2, options);
   SongSearchOptions search;
-  const ShardedSearchResult result = index.Search(fx.queries, 5, search, 1);
+  const ShardedSearchResult result =
+      index.TrySearch(fx.queries, 5, search, {}, 1).value();
   EXPECT_DEATH(index.EstimateGpu(result, {GpuSpec::V100()},
                                  fx.queries.num(), 5, search),
                "one GpuSpec per shard");

@@ -315,9 +315,9 @@ TEST(SimtSongKernel, RecallMatchesHostSearcher) {
     for (const Neighbor& n : kernel.Search(query, 10, options).topk) {
       warp_ids[q].push_back(n.id);
     }
-    for (const Neighbor& n : host.Search(query, 10, options, &ws)) {
-      host_ids[q].push_back(n.id);
-    }
+    const std::vector<Neighbor> found =
+        host.TrySearch(query, 10, options, &ws).value();
+    for (const Neighbor& n : found) host_ids[q].push_back(n.id);
   }
   const double warp_recall = MeanRecallAtK(warp_ids, fx.gt10, 10);
   const double host_recall = MeanRecallAtK(host_ids, fx.gt10, 10);

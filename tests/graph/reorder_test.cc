@@ -176,8 +176,11 @@ TEST(ReorderTest, ReorderedSearchReturnsIdenticalResults) {
             SongSearchOptions::CpuEngineered()}) {
         for (size_t q = 0; q < gen.queries.num(); ++q) {
           const float* query = gen.queries.Row(static_cast<idx_t>(q));
-          const auto expect = base.Search(query, 10, options);
-          const auto got = reordered.Search(query, 10, options);
+          SongWorkspace ws_base, ws_reordered;
+          const auto expect =
+              base.TrySearch(query, 10, options, &ws_base).value();
+          const auto got =
+              reordered.TrySearch(query, 10, options, &ws_reordered).value();
           ASSERT_EQ(got.size(), expect.size())
               << MetricName(metric) << " " << GraphReorderName(strategy)
               << " " << options.Name() << " query " << q;
@@ -208,8 +211,10 @@ TEST(ReorderTest, PrefetchDisabledSearchIsIdentical) {
   without.enable_prefetch = false;
   for (size_t q = 0; q < gen.queries.num(); ++q) {
     const float* query = gen.queries.Row(static_cast<idx_t>(q));
-    const auto a = searcher.Search(query, 5, with);
-    const auto b = searcher.Search(query, 5, without);
+    SongWorkspace ws_with, ws_without;
+    const auto a = searcher.TrySearch(query, 5, with, &ws_with).value();
+    const auto b =
+        searcher.TrySearch(query, 5, without, &ws_without).value();
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].id, b[i].id);

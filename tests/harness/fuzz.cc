@@ -1026,8 +1026,11 @@ DifferentialReport FuzzMutationDifferential(VisitedStructure structure,
       const std::shared_ptr<const IndexSnapshot> snapshot = index.Acquire();
       SongSearchOptions ample = SongSearchOptions::CpuEngineered();
       ample.queue_size = snapshot->num_points() + 4;
-      const std::vector<Neighbor> got = snapshot->Search(
-          query, std::max<size_t>(1, oracle.live_count()), ample, &workspace);
+      const std::vector<Neighbor> got =
+          snapshot
+              ->TrySearch(query, std::max<size_t>(1, oracle.live_count()),
+                          ample, &workspace)
+              .value();
       std::vector<idx_t> got_ids;
       got_ids.reserve(got.size());
       for (const Neighbor& n : got) got_ids.push_back(n.id);
@@ -1119,7 +1122,7 @@ DifferentialReport FuzzMutationDifferential(VisitedStructure structure,
             RandomMutationOptions(rng, structure, index.num_points());
         const std::shared_ptr<const IndexSnapshot> snapshot = index.Acquire();
         const std::vector<Neighbor> got =
-            snapshot->Search(q.data(), k, options, &workspace);
+            snapshot->TrySearch(q.data(), k, options, &workspace).value();
 
         if (snapshot->live_points() == 0) {
           ++report.checks;
@@ -1275,8 +1278,10 @@ DifferentialReport FuzzMutationDifferential(VisitedStructure structure,
         pinned_k = 1 + rng.NextUint(8);
         pinned_options =
             RandomMutationOptions(rng, structure, pinned->num_points());
-        pinned_result = pinned->Search(pinned_query.data(), pinned_k,
-                                       pinned_options, &workspace);
+        pinned_result = pinned
+                            ->TrySearch(pinned_query.data(), pinned_k,
+                                        pinned_options, &workspace)
+                            .value();
       }
     }
 
@@ -1301,8 +1306,11 @@ DifferentialReport FuzzMutationDifferential(VisitedStructure structure,
     }
 
     if (round_ok && pinned != nullptr) {
-      const std::vector<Neighbor> replay = pinned->Search(
-          pinned_query.data(), pinned_k, pinned_options, &workspace);
+      const std::vector<Neighbor> replay =
+          pinned
+              ->TrySearch(pinned_query.data(), pinned_k, pinned_options,
+                          &workspace)
+              .value();
       ++report.checks;
       if (!SameNeighbors(replay, pinned_result)) {
         report.Fail(ctx + "pinned snapshot (version " +

@@ -79,13 +79,23 @@ class HarnessMetamorphic : public ::testing::Test {
     return static_cast<double>(hits) / static_cast<double>(gt.size());
   }
 
+  /// One checked search on a fresh workspace, so every call starts from
+  /// the same state.
+  static std::vector<Neighbor> SearchFresh(const SongSearcher& searcher,
+                                           const float* query, size_t k,
+                                           const SongSearchOptions& options) {
+    SongWorkspace ws;
+    return searcher.TrySearch(query, k, options, &ws).value();
+  }
+
   static double MeanRecall(const SongSearcher& searcher,
                            const SongSearchOptions& options, size_t k,
                            bool by_distance) {
     double sum = 0.0;
     for (size_t q = 0; q < world_->gen.queries.num(); ++q) {
-      const auto result = searcher.Search(
-          world_->gen.queries.Row(static_cast<idx_t>(q)), k, options);
+      const auto result = SearchFresh(
+          searcher, world_->gen.queries.Row(static_cast<idx_t>(q)), k,
+          options);
       sum += by_distance
                  ? DistanceRecall(result, world_->ground_truth[q])
                  : IdRecall(result, world_->ground_truth[q]);
@@ -104,9 +114,9 @@ TEST_F(HarnessMetamorphic, ShrinkingKIsPrefixOfLargerK) {
   options.queue_size = 64;  // fixed ef >= every k: identical search paths
   for (size_t q = 0; q < world_->gen.queries.num(); ++q) {
     const float* query = world_->gen.queries.Row(static_cast<idx_t>(q));
-    const auto large = searcher.Search(query, 20, options);
+    const auto large = SearchFresh(searcher, query, 20, options);
     for (const size_t k : {1u, 3u, 10u}) {
-      const auto small = searcher.Search(query, k, options);
+      const auto small = SearchFresh(searcher, query, k, options);
       ASSERT_EQ(small.size(), std::min(k, large.size())) << "query " << q;
       for (size_t i = 0; i < small.size(); ++i) {
         EXPECT_TRUE(small[i] == large[i])
@@ -129,8 +139,8 @@ TEST_F(HarnessMetamorphic, SelectedInsertionPreservesExactResults) {
   selected.selected_insertion = true;
   for (size_t q = 0; q < world_->gen.queries.num(); ++q) {
     const float* query = world_->gen.queries.Row(static_cast<idx_t>(q));
-    const auto a = searcher.Search(query, 10, plain);
-    const auto b = searcher.Search(query, 10, selected);
+    const auto a = SearchFresh(searcher, query, 10, plain);
+    const auto b = SearchFresh(searcher, query, 10, selected);
     ASSERT_EQ(a.size(), b.size()) << "query " << q;
     for (size_t i = 0; i < a.size(); ++i) {
       EXPECT_TRUE(a[i] == b[i]) << "query " << q << " position " << i;
@@ -209,10 +219,11 @@ TEST_F(HarnessMetamorphic, DuplicatingTrueNeighborsNeverLowersDistanceRecall) {
   double recall_before = 0.0, recall_after = 0.0;
   for (size_t q = 0; q < world_->gen.queries.num(); ++q) {
     const float* query = world_->gen.queries.Row(static_cast<idx_t>(q));
-    recall_before += DistanceRecall(baseline.Search(query, 10, options),
+    recall_before += DistanceRecall(SearchFresh(baseline, query, 10, options),
                                     world_->ground_truth[q]);
-    recall_after += DistanceRecall(duplicated.Search(query, 10, options),
-                                   world_->ground_truth[q]);
+    recall_after +=
+        DistanceRecall(SearchFresh(duplicated, query, 10, options),
+                       world_->ground_truth[q]);
   }
   EXPECT_GE(recall_after, recall_before - 1e-9)
       << "duplicate insertion lowered aggregate distance-recall from "
@@ -233,8 +244,8 @@ TEST_F(HarnessMetamorphic, IdenticalConfigurationsAreBitIdentical) {
     options.queue_size = 48;
     for (size_t q = 0; q < 8; ++q) {
       const float* query = world_->gen.queries.Row(static_cast<idx_t>(q));
-      const auto first = searcher.Search(query, 10, options);
-      const auto second = searcher.Search(query, 10, options);
+      const auto first = SearchFresh(searcher, query, 10, options);
+      const auto second = SearchFresh(searcher, query, 10, options);
       ASSERT_EQ(first.size(), second.size())
           << options.Name() << " query " << q;
       for (size_t i = 0; i < first.size(); ++i) {

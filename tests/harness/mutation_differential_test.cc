@@ -112,9 +112,9 @@ TEST(HarnessMutationDifferential, ConcurrentReadersSeeConsistentSnapshots) {
         SongSearchOptions options;
         options.queue_size = 16;
         const std::vector<Neighbor> a =
-            snapshot->Search(q.data(), 5, options, &workspace);
+            snapshot->TrySearch(q.data(), 5, options, &workspace).value();
         const std::vector<Neighbor> b =
-            snapshot->Search(q.data(), 5, options, &workspace);
+            snapshot->TrySearch(q.data(), 5, options, &workspace).value();
         // A pinned snapshot is immutable: identical query, identical answer,
         // regardless of the concurrent writer.
         if (a.size() != b.size() ||

@@ -63,9 +63,12 @@ double IdRecall(const std::vector<Neighbor>& result,
 double MeanRecall(const SongSearcher& searcher, const PqWorld& w, size_t k,
                   const SongSearchOptions& options) {
   double sum = 0.0;
+  SongWorkspace ws;
   for (size_t q = 0; q < w.gen.queries.num(); ++q) {
-    const auto result =
-        searcher.Search(w.gen.queries.Row(static_cast<idx_t>(q)), k, options);
+    const auto result = searcher
+                            .TrySearch(w.gen.queries.Row(static_cast<idx_t>(q)),
+                                       k, options, &ws)
+                            .value();
     sum += IdRecall(result, w.ground_truth[q]);
   }
   return sum / static_cast<double>(w.gen.queries.num());
@@ -138,8 +141,10 @@ TEST(HarnessPqDifferential, QuantizationOffIsBitIdentical) {
     options.queue_size = ef;  // options.quant stays kNone
     for (size_t q = 0; q < w.gen.queries.num(); ++q) {
       const float* query = w.gen.queries.Row(static_cast<idx_t>(q));
-      const auto a = plain.Search(query, 10, options);
-      const auto b = enabled.Search(query, 10, options);
+      SongWorkspace ws_plain, ws_enabled;
+      const auto a = plain.TrySearch(query, 10, options, &ws_plain).value();
+      const auto b =
+          enabled.TrySearch(query, 10, options, &ws_enabled).value();
       ASSERT_EQ(a.size(), b.size()) << "ef=" << ef << " query " << q;
       for (size_t i = 0; i < a.size(); ++i) {
         ASSERT_EQ(a[i].id, b[i].id)

@@ -38,8 +38,9 @@ TEST_P(PresetSmokeTest, FullFlowHoldsQualitativeClaims) {
   auto recall_at = [&](size_t queue) {
     SongSearchOptions options = SongSearchOptions::HashTableSelDel();
     options.queue_size = queue;
-    const SimulatedRun run = SimulateBatch(searcher, w.queries, 10, options,
-                                           GpuSpec::V100(), 1);
+    const SimulatedRun run = TrySimulateBatch(searcher, w.queries, 10,
+                                              options, GpuSpec::V100(), 1)
+                                 .value();
     return std::make_pair(
         MeanRecallAtK(run.batch.Ids(), w.ground_truth, 10), run.SimQps());
   };
@@ -74,8 +75,9 @@ TEST(ReproductionSmoke, HighRecallRegimeBelongsToGraphSearch) {
   SongSearcher searcher(&w.data, &graph, w.metric);
   SongSearchOptions options = SongSearchOptions::HashTableSelDel();
   options.queue_size = 192;
-  const SimulatedRun song_run = SimulateBatch(searcher, w.queries, 10,
-                                              options, GpuSpec::V100(), 1);
+  const SimulatedRun song_run = TrySimulateBatch(searcher, w.queries, 10,
+                                                 options, GpuSpec::V100(), 1)
+                                    .value();
   const double song_recall =
       MeanRecallAtK(song_run.batch.Ids(), w.ground_truth, 10);
 

@@ -164,14 +164,12 @@ TEST(RequestMetricsFamily, NullRegistryIsANoop) {
                                           false, false));  // must not crash
 }
 
-TEST(BatchLifecycle, TelemetryOffIsBitIdenticalToPlainSearch) {
+TEST(BatchLifecycle, TelemetryIsBitIdenticalToPerQueryTrySearch) {
   const LifecycleFixture& fx = LifecycleFixture::Get();
   SongSearcher searcher(&fx.data, &fx.graph, Metric::kL2);
   BatchEngine engine(&searcher, 2);
   SongSearchOptions options;
   options.queue_size = 64;
-
-  const BatchResult plain = engine.Search(fx.queries, 10, options);
 
   // Telemetry fully off (default BatchTelemetry{}).
   const auto off = engine.TrySearch(fx.queries, 10, options);
@@ -186,12 +184,15 @@ TEST(BatchLifecycle, TelemetryOffIsBitIdenticalToPlainSearch) {
   const auto on = engine.TrySearch(fx.queries, 10, options, telemetry);
   ASSERT_TRUE(on.ok()) << on.status().ToString();
 
-  ASSERT_EQ(plain.results.size(), fx.queries.num());
   for (size_t q = 0; q < fx.queries.num(); ++q) {
-    EXPECT_TRUE(SameNeighbors(plain.results[q], off->results[q]))
-        << "telemetry-off TrySearch diverged at query " << q;
-    EXPECT_TRUE(SameNeighbors(plain.results[q], on->results[q]))
-        << "telemetry-on TrySearch diverged at query " << q;
+    SongWorkspace fresh;
+    const auto single = searcher.TrySearch(
+        fx.queries.Row(static_cast<idx_t>(q)), 10, options, &fresh);
+    ASSERT_TRUE(single.ok()) << single.status().ToString();
+    EXPECT_TRUE(SameNeighbors(*single, off->results[q]))
+        << "telemetry-off batch diverged at query " << q;
+    EXPECT_TRUE(SameNeighbors(*single, on->results[q]))
+        << "telemetry-on batch diverged at query " << q;
   }
 
   // The armed run recorded one lifecycle record per query, all OK, with
@@ -267,59 +268,6 @@ TEST(BatchLifecycle, BatchRefusalEmitsOneTurnedAwayRecord) {
   EXPECT_EQ(records[0].rejected, 1u);
 }
 
-TEST(SingleQueryLifecycle, ObserverEmitsRecordAndNullObserverIsIdentical) {
-  const LifecycleFixture& fx = LifecycleFixture::Get();
-  SongSearcher searcher(&fx.data, &fx.graph, Metric::kL2);
-  SongSearchOptions options;
-  options.queue_size = 48;
-  SongWorkspace ws;
-
-  const std::vector<Neighbor> plain =
-      searcher.Search(fx.queries.Row(0), 10, options, &ws);
-  const auto unobserved =
-      searcher.TrySearch(fx.queries.Row(0), 10, options, &ws);
-  ASSERT_TRUE(unobserved.ok());
-  EXPECT_TRUE(SameNeighbors(plain, *unobserved));
-
-  obs::MetricsRegistry registry;
-  obs::FlightRecorder recorder(8);
-  const obs::RequestMetrics metrics(&registry);
-  obs::RequestObserver observer;
-  observer.metrics = &metrics;
-  observer.recorder = &recorder;
-  observer.request_id = 321;
-  observer.queue_us = 7.5f;
-  observer.batch_form_us = 1.5f;
-  const auto observed = searcher.TrySearch(fx.queries.Row(0), 10, options,
-                                           &ws, nullptr, nullptr, nullptr,
-                                           &observer);
-  ASSERT_TRUE(observed.ok());
-  EXPECT_TRUE(SameNeighbors(plain, *observed));
-
-  const std::vector<obs::RequestRecord> records = recorder.Snapshot();
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].request_id, 321u);
-  EXPECT_EQ(records[0].snapshot_version, 0u);  // frozen index
-  EXPECT_FLOAT_EQ(records[0].queue_us, 7.5f);
-  EXPECT_FLOAT_EQ(records[0].batch_form_us, 1.5f);
-  EXPECT_EQ(records[0].code(), StatusCode::kOk);
-  EXPECT_EQ(registry.GetHistogram("song.req.search_us").Count(), 1u);
-
-  // A validation rejection still emits a record, with search_us = 0.
-  std::vector<float> bad(fx.data.dim(), 1.0f);
-  bad[0] = std::numeric_limits<float>::infinity();
-  observer.request_id = 322;
-  const auto rejected = searcher.TrySearch(bad.data(), 10, options, &ws,
-                                           nullptr, nullptr, nullptr,
-                                           &observer);
-  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
-  const std::vector<obs::RequestRecord> after = recorder.Snapshot();
-  ASSERT_EQ(after.size(), 2u);
-  EXPECT_EQ(after[1].request_id, 322u);
-  EXPECT_EQ(after[1].rejected, 1u);
-  EXPECT_FLOAT_EQ(after[1].search_us, 0.0f);
-}
-
 TEST(SingleQueryLifecycle, SnapshotVersionIsStampedIntoRecords) {
   constexpr size_t kDim = 8;
   MutableIndex index(Metric::kL2, kDim);
@@ -335,10 +283,15 @@ TEST(SingleQueryLifecycle, SnapshotVersionIsStampedIntoRecords) {
   const std::shared_ptr<const IndexSnapshot> snapshot = index.Acquire();
   ASSERT_GT(snapshot->version(), 0u);
 
+  obs::MetricsRegistry registry;
   obs::FlightRecorder recorder(8);
+  const obs::RequestMetrics metrics(&registry);
   obs::RequestObserver observer;
+  observer.metrics = &metrics;
   observer.recorder = &recorder;
   observer.request_id = 77;
+  observer.queue_us = 7.5f;
+  observer.batch_form_us = 1.5f;
 
   std::vector<float> query(kDim);
   for (float& v : query) v = dist(rng);
@@ -353,7 +306,23 @@ TEST(SingleQueryLifecycle, SnapshotVersionIsStampedIntoRecords) {
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].request_id, 77u);
   EXPECT_EQ(records[0].snapshot_version, snapshot->version());
+  EXPECT_FLOAT_EQ(records[0].queue_us, 7.5f);
+  EXPECT_FLOAT_EQ(records[0].batch_form_us, 1.5f);
   EXPECT_EQ(records[0].code(), StatusCode::kOk);
+  EXPECT_EQ(registry.GetHistogram("song.req.search_us").Count(), 1u);
+
+  // A validation rejection still emits a record, with search_us = 0.
+  query[0] = std::numeric_limits<float>::infinity();
+  observer.request_id = 78;
+  const auto rejected = snapshot->TrySearch(query.data(), 5, options, &ws,
+                                            nullptr, nullptr, &observer);
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  const std::vector<obs::RequestRecord> after = recorder.Snapshot();
+  ASSERT_EQ(after.size(), 2u);
+  EXPECT_EQ(after[1].request_id, 78u);
+  EXPECT_EQ(after[1].snapshot_version, snapshot->version());
+  EXPECT_EQ(after[1].rejected, 1u);
+  EXPECT_FLOAT_EQ(after[1].search_us, 0.0f);
 }
 
 TEST(BudgetTermination, CostBudgetIsStampedIntoTraceAndExport) {
@@ -365,8 +334,10 @@ TEST(BudgetTermination, CostBudgetIsStampedIntoTraceAndExport) {
   SongWorkspace ws;
   bool degraded = false;
   obs::SearchTrace trace;
-  searcher.Search(fx.queries.Row(0), 10, options, &ws, nullptr, &trace,
-                  &degraded);
+  ASSERT_TRUE(searcher
+                  .TrySearch(fx.queries.Row(0), 10, options, &ws, nullptr,
+                             &trace, &degraded)
+                  .ok());
   EXPECT_TRUE(degraded);
   EXPECT_EQ(trace.termination, obs::TraceTermination::kCostBudget);
 
@@ -384,8 +355,10 @@ TEST(BudgetTermination, DeadlineTerminationIsConsistentWithDegraded) {
   SongWorkspace ws;
   bool degraded = false;
   obs::SearchTrace trace;
-  searcher.Search(fx.queries.Row(0), 10, options, &ws, nullptr, &trace,
-                  &degraded);
+  ASSERT_TRUE(searcher
+                  .TrySearch(fx.queries.Row(0), 10, options, &ws, nullptr,
+                             &trace, &degraded)
+                  .ok());
   // A fast machine may finish an iteration before the first deadline
   // check; the trace termination must agree with the degraded flag.
   if (degraded) {
@@ -399,8 +372,10 @@ TEST(BudgetTermination, DeadlineTerminationIsConsistentWithDegraded) {
   unbudgeted.queue_size = 48;
   obs::SearchTrace converged;
   bool degraded2 = false;
-  searcher.Search(fx.queries.Row(0), 10, unbudgeted, &ws, nullptr,
-                  &converged, &degraded2);
+  ASSERT_TRUE(searcher
+                  .TrySearch(fx.queries.Row(0), 10, unbudgeted, &ws, nullptr,
+                             &converged, &degraded2)
+                  .ok());
   EXPECT_FALSE(degraded2);
   EXPECT_EQ(converged.termination, obs::TraceTermination::kConverged);
 }

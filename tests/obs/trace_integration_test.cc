@@ -60,14 +60,14 @@ TEST(TraceIntegration, TracingIsAPureObserver) {
   SongSearchOptions options = SongSearchOptions::HashTableSelDel();
   options.queue_size = 48;
 
-  const BatchResult plain = engine.Search(fx.queries, 10, options);
+  const BatchResult plain = engine.TrySearch(fx.queries, 10, options).value();
 
   obs::MetricsRegistry registry;
   BatchTelemetry telemetry;
   telemetry.registry = &registry;
   telemetry.trace_sample_period = 1;  // trace every query
-  const BatchResult traced = engine.Search(fx.queries, 10, options,
-                                           telemetry);
+  const BatchResult traced =
+      engine.TrySearch(fx.queries, 10, options, telemetry).value();
 
   // Same neighbors, same recall.
   ASSERT_EQ(traced.results.size(), plain.results.size());
@@ -111,7 +111,8 @@ TEST(TraceIntegration, RegistryMirrorsAggregateStats) {
   BatchTelemetry telemetry;
   telemetry.registry = &registry;
   telemetry.trace_sample_period = 4;
-  const BatchResult batch = engine.Search(fx.queries, 10, options, telemetry);
+  const BatchResult batch =
+      engine.TrySearch(fx.queries, 10, options, telemetry).value();
 
   EXPECT_EQ(registry.GetCounter("song.batch.queries").Value(),
             batch.num_queries);
@@ -127,7 +128,8 @@ TEST(TraceIntegration, RegistryMirrorsAggregateStats) {
             batch.num_queries);
 
   // Deterministic sampler: the same batch re-run samples the same queries.
-  const BatchResult again = engine.Search(fx.queries, 10, options, telemetry);
+  const BatchResult again =
+      engine.TrySearch(fx.queries, 10, options, telemetry).value();
   ASSERT_EQ(again.traces.size(), batch.traces.size());
   for (size_t i = 0; i < batch.traces.size(); ++i) {
     EXPECT_EQ(again.traces[i].query_id, batch.traces[i].query_id);
@@ -150,9 +152,10 @@ TEST(TraceIntegration, TraceSpansMatchCostModelAttribution) {
     BatchTelemetry telemetry;
     telemetry.registry = &registry;
     telemetry.trace_sample_period = 1;
-    const SimulatedRun run = SimulateBatch(searcher, fx.queries, 10, options,
-                                           spec, /*num_threads=*/2,
-                                           telemetry);
+    const SimulatedRun run =
+        TrySimulateBatch(searcher, fx.queries, 10, options, spec,
+                         /*num_threads=*/2, telemetry)
+            .value();
     ASSERT_EQ(run.batch.traces.size(), fx.queries.num());
 
     const CostModel model(spec);

@@ -99,8 +99,10 @@ TEST(SearchTrace, RowsTelescopeToSearchStats) {
     for (size_t q = 0; q < gen.queries.num(); ++q) {
       SearchStats stats;
       obs::SearchTrace trace;
-      searcher.Search(gen.queries.Row(static_cast<idx_t>(q)), 10, options,
-                      &ws, &stats, &trace);
+      ASSERT_TRUE(searcher
+                      .TrySearch(gen.queries.Row(static_cast<idx_t>(q)), 10,
+                                 options, &ws, &stats, &trace)
+                      .ok());
 
       // Row 0 is entry init; rows 1..n are the loop iterations.
       ASSERT_EQ(trace.Hops(), stats.iterations);

@@ -172,8 +172,7 @@ TEST(ServeServer, ResultsMatchDirectEngineRun) {
   const BatchEngine direct(&searcher, 1);
   SongSearchOptions direct_options;
   direct_options.queue_size = options.default_queue_size;
-  const auto expected =
-      direct.TrySearch(fx.queries, kK, direct_options, {}, {});
+  const auto expected = direct.TrySearch(fx.queries, kK, direct_options);
   ASSERT_TRUE(expected.ok());
 
   TestClient client(server.port());
@@ -211,7 +210,8 @@ TEST(ServeServer, ResultsMatchDirectEngineRun) {
       fresh_options.queue_size = ef != 0 ? ef : options.default_queue_size;
       SongWorkspace fresh;
       const std::vector<Neighbor> want =
-          searcher.Search(QueryRow(q).data(), k, fresh_options, &fresh);
+          searcher.TrySearch(QueryRow(q).data(), k, fresh_options, &fresh)
+              .value();
       ASSERT_EQ(response.value().results.size(), want.size())
           << "query " << q << " k " << k << " ef " << ef;
       for (size_t i = 0; i < want.size(); ++i) {

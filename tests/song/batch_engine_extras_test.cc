@@ -41,7 +41,7 @@ TEST(BatchEngineLatency, RecordsPerQueryLatencies) {
   const EngineFixture& fx = EngineFixture::Get();
   SongSearcher searcher(&fx.data, &fx.graph, Metric::kL2);
   BatchEngine engine(&searcher, 2);
-  const BatchResult batch = engine.Search(fx.queries, 10, {});
+  const BatchResult batch = engine.TrySearch(fx.queries, 10, {}).value();
   ASSERT_EQ(batch.latencies_us.size(), fx.queries.num());
   for (const float lat : batch.latencies_us) EXPECT_GT(lat, 0.0f);
 }
@@ -50,7 +50,7 @@ TEST(BatchEngineLatency, PercentilesAreMonotone) {
   const EngineFixture& fx = EngineFixture::Get();
   SongSearcher searcher(&fx.data, &fx.graph, Metric::kL2);
   BatchEngine engine(&searcher, 2);
-  const BatchResult batch = engine.Search(fx.queries, 10, {});
+  const BatchResult batch = engine.TrySearch(fx.queries, 10, {}).value();
   const double p50 = batch.LatencyPercentileUs(50);
   const double p90 = batch.LatencyPercentileUs(90);
   const double p99 = batch.LatencyPercentileUs(99);
@@ -88,7 +88,7 @@ TEST(SimulateHashedBatch, ProducesResultsAndGpuProfile) {
             run.batch.stats.distance_computations * 8);
 }
 
-TEST(SimulateBatch, DenseVsHashedGpuCostOrdering) {
+TEST(TrySimulateBatch, DenseVsHashedGpuCostOrdering) {
   // Hashed candidates stream 8 bytes rather than dim*4, so the PER-CANDIDATE
   // distance price must drop (total stage time can still grow because
   // Hamming plateaus make the search explore more candidates).
@@ -97,7 +97,8 @@ TEST(SimulateBatch, DenseVsHashedGpuCostOrdering) {
   SongSearchOptions options = SongSearchOptions::HashTableSelDel();
   options.queue_size = 64;
   const SimulatedRun dense_run =
-      SimulateBatch(dense, fx.queries, 5, options, GpuSpec::TitanX(), 1);
+      TrySimulateBatch(dense, fx.queries, 5, options, GpuSpec::TitanX(), 1)
+          .value();
 
   RandomProjection proj(fx.data.dim(), 64, ProjectionKind::kNormal, 5);
   const BinaryCodes codes = proj.EncodeDataset(fx.data, 1);

@@ -1,13 +1,10 @@
-// Admission-control and input-validation tests for the serving layer:
-// batch shedding under max_inflight, NaN/Inf query rejection, dim-mismatch
-// and bad-k refusal, and the capacity-checked TryPush/TryReset admission on
-// the bounded per-query structures.
+// Input-validation tests for the checked search paths: NaN/Inf query
+// rejection, dim-mismatch and bad-k refusal, batch results matching
+// per-query TrySearch, and the capacity-checked TryPush/TryReset admission
+// on the bounded per-query structures.
 
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <limits>
-#include <thread>
 #include <vector>
 
 #include "data/synthetic.h"
@@ -23,14 +20,14 @@
 namespace song {
 namespace {
 
-struct AdmissionFixture {
+struct ValidationFixture {
   Dataset data;
   Dataset queries;
   FixedDegreeGraph graph;
 
-  static const AdmissionFixture& Get() {
-    static AdmissionFixture* f = [] {
-      auto* fx = new AdmissionFixture();
+  static const ValidationFixture& Get() {
+    static ValidationFixture* f = [] {
+      auto* fx = new ValidationFixture();
       SyntheticSpec spec;
       spec.name = "admission";
       spec.dim = 16;
@@ -50,8 +47,8 @@ struct AdmissionFixture {
   }
 };
 
-TEST(BatchAdmission, DimMismatchIsInvalidArgument) {
-  const AdmissionFixture& fx = AdmissionFixture::Get();
+TEST(BatchValidation, DimMismatchIsInvalidArgument) {
+  const ValidationFixture& fx = ValidationFixture::Get();
   SongSearcher searcher(&fx.data, &fx.graph, Metric::kL2);
   BatchEngine engine(&searcher, 1);
   Dataset wrong(4, fx.data.dim() + 1);
@@ -60,8 +57,8 @@ TEST(BatchAdmission, DimMismatchIsInvalidArgument) {
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(BatchAdmission, BadKAndOversizedQueueRefused) {
-  const AdmissionFixture& fx = AdmissionFixture::Get();
+TEST(BatchValidation, BadKAndOversizedQueueRefused) {
+  const ValidationFixture& fx = ValidationFixture::Get();
   SongSearcher searcher(&fx.data, &fx.graph, Metric::kL2);
   BatchEngine engine(&searcher, 1);
   EXPECT_EQ(engine.TrySearch(fx.queries, 0, SongSearchOptions{})
@@ -74,8 +71,8 @@ TEST(BatchAdmission, BadKAndOversizedQueueRefused) {
             StatusCode::kResourceExhausted);
 }
 
-TEST(BatchAdmission, NanAndInfQueriesAreRejectedNotSearched) {
-  const AdmissionFixture& fx = AdmissionFixture::Get();
+TEST(BatchValidation, NanAndInfQueriesAreRejectedNotSearched) {
+  const ValidationFixture& fx = ValidationFixture::Get();
   SongSearcher searcher(&fx.data, &fx.graph, Metric::kL2);
   BatchEngine engine(&searcher, 1);
 
@@ -104,8 +101,8 @@ TEST(BatchAdmission, NanAndInfQueriesAreRejectedNotSearched) {
   EXPECT_EQ(registry.GetCounter("song.batch.rejected_queries").Value(), 2u);
 }
 
-TEST(BatchAdmission, ValidateQueryCatchesNanInfAndNull) {
-  const AdmissionFixture& fx = AdmissionFixture::Get();
+TEST(BatchValidation, ValidateQueryCatchesNanInfAndNull) {
+  const ValidationFixture& fx = ValidationFixture::Get();
   SongSearcher searcher(&fx.data, &fx.graph, Metric::kL2);
   EXPECT_TRUE(searcher.ValidateQuery(fx.queries.Row(0)).ok());
   EXPECT_EQ(searcher.ValidateQuery(nullptr).code(),
@@ -119,67 +116,26 @@ TEST(BatchAdmission, ValidateQueryCatchesNanInfAndNull) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(BatchAdmission, TrySearchMatchesSearchForValidInput) {
-  const AdmissionFixture& fx = AdmissionFixture::Get();
+TEST(BatchValidation, EngineMatchesPerQueryTrySearch) {
+  const ValidationFixture& fx = ValidationFixture::Get();
   SongSearcher searcher(&fx.data, &fx.graph, Metric::kL2);
+  BatchEngine engine(&searcher, 2);
   SongSearchOptions options;
   options.queue_size = 48;
-  SongWorkspace ws;
-  const auto plain = searcher.Search(fx.queries.Row(0), 10, options, &ws);
-  const auto checked = searcher.TrySearch(fx.queries.Row(0), 10, options,
-                                          &ws);
-  ASSERT_TRUE(checked.ok());
-  ASSERT_EQ(checked->size(), plain.size());
-  for (size_t i = 0; i < plain.size(); ++i) {
-    EXPECT_EQ((*checked)[i].id, plain[i].id);
-    EXPECT_EQ((*checked)[i].dist, plain[i].dist);
-  }
-}
-
-TEST(BatchAdmission, MaxInflightShedsConcurrentBatches) {
-  const AdmissionFixture& fx = AdmissionFixture::Get();
-  SongSearcher searcher(&fx.data, &fx.graph, Metric::kL2);
-  BatchEngine engine(&searcher, 1);
-  SongSearchOptions slow;
-  slow.queue_size = 512;  // enough work to hold the inflight slot
-
-  obs::MetricsRegistry registry;
-  BatchTelemetry telemetry;
-  telemetry.registry = &registry;
-  BatchAdmission admission;
-  admission.max_inflight = 1;
-
-  std::atomic<bool> worker_done{false};
-  std::thread worker([&] {
-    for (int i = 0; i < 50 && !worker_done.load(); ++i) {
-      const auto r = engine.TrySearch(fx.queries, 10, slow, telemetry,
-                                      admission);
-      ASSERT_TRUE(r.ok());
-    }
-    worker_done.store(true);
-  });
-
-  // Keep trying while the worker holds the slot; with max_inflight=1 the
-  // overlapping submission must be shed with kResourceExhausted.
-  bool shed = false;
-  while (!worker_done.load() && !shed) {
-    if (engine.inflight() == 0) {
-      std::this_thread::yield();
-      continue;
-    }
-    const auto r = engine.TrySearch(fx.queries, 10, slow, telemetry,
-                                    admission);
-    if (!r.ok()) {
-      EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
-      shed = true;
+  const auto batch = engine.TrySearch(fx.queries, 10, options);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_EQ(batch->queries_rejected, 0u);
+  for (size_t q = 0; q < fx.queries.num(); ++q) {
+    SongWorkspace fresh;
+    const auto single = searcher.TrySearch(
+        fx.queries.Row(static_cast<idx_t>(q)), 10, options, &fresh);
+    ASSERT_TRUE(single.ok());
+    ASSERT_EQ(batch->results[q].size(), single->size()) << "query " << q;
+    for (size_t i = 0; i < single->size(); ++i) {
+      EXPECT_EQ(batch->results[q][i].id, (*single)[i].id);
+      EXPECT_EQ(batch->results[q][i].dist, (*single)[i].dist);
     }
   }
-  worker_done.store(true);
-  worker.join();
-  if (shed) {
-    EXPECT_GE(registry.GetCounter("song.batch.shed").Value(), 1u);
-  }
-  EXPECT_EQ(engine.inflight(), 0u);  // accounting balanced either way
 }
 
 TEST(BoundedStructures, TryPushReportsCapacityExhaustion) {

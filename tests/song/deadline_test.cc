@@ -66,10 +66,14 @@ TEST(DeadlineBudget, DisabledBudgetsAreBitIdentical) {
     bool degraded = true;
     SongWorkspace ws;
     const auto base =
-        searcher.Search(fx.queries.Row(static_cast<idx_t>(q)), 10, plain,
-                        &ws, nullptr, nullptr, &degraded);
-    const auto budgeted = searcher.Search(
-        fx.queries.Row(static_cast<idx_t>(q)), 10, zeroed, &ws);
+        searcher
+            .TrySearch(fx.queries.Row(static_cast<idx_t>(q)), 10, plain, &ws,
+                       nullptr, nullptr, &degraded)
+            .value();
+    const auto budgeted =
+        searcher
+            .TrySearch(fx.queries.Row(static_cast<idx_t>(q)), 10, zeroed, &ws)
+            .value();
     EXPECT_TRUE(SameResults(base, budgeted)) << "query " << q;
     EXPECT_FALSE(degraded) << "query " << q;  // no budget -> never degraded
   }
@@ -87,10 +91,14 @@ TEST(DeadlineBudget, GenerousBudgetsDoNotChangeResults) {
     bool degraded = true;
     SongWorkspace ws;
     const auto base =
-        searcher.Search(fx.queries.Row(static_cast<idx_t>(q)), 10, plain, &ws);
+        searcher
+            .TrySearch(fx.queries.Row(static_cast<idx_t>(q)), 10, plain, &ws)
+            .value();
     const auto budgeted =
-        searcher.Search(fx.queries.Row(static_cast<idx_t>(q)), 10, generous,
-                        &ws, &stats, nullptr, &degraded);
+        searcher
+            .TrySearch(fx.queries.Row(static_cast<idx_t>(q)), 10, generous,
+                       &ws, &stats, nullptr, &degraded)
+            .value();
     EXPECT_TRUE(SameResults(base, budgeted)) << "query " << q;
     EXPECT_FALSE(degraded) << "query " << q;
   }
@@ -109,8 +117,10 @@ TEST(DeadlineBudget, TinyCostBudgetDegradesButStaysValid) {
     bool degraded = false;
     SongWorkspace ws;
     const auto result =
-        searcher.Search(fx.queries.Row(static_cast<idx_t>(q)), 10, options,
-                        &ws, &stats, nullptr, &degraded);
+        searcher
+            .TrySearch(fx.queries.Row(static_cast<idx_t>(q)), 10, options,
+                       &ws, &stats, nullptr, &degraded)
+            .value();
     if (degraded) ++degraded_count;
     // Best-so-far results are still well-formed: sorted, ids in range.
     for (size_t i = 0; i < result.size(); ++i) {
@@ -133,12 +143,15 @@ TEST(DeadlineBudget, CostBudgetIsDeterministic) {
   for (size_t q = 0; q < 5; ++q) {
     SongWorkspace ws;
     bool degraded_a = false, degraded_b = false;
-    const auto a = searcher.Search(fx.queries.Row(static_cast<idx_t>(q)), 10,
-                                   options, &ws, nullptr, nullptr,
-                                   &degraded_a);
-    const auto b = searcher.Search(fx.queries.Row(static_cast<idx_t>(q)), 10,
-                                   options, &ws, nullptr, nullptr,
-                                   &degraded_b);
+    const float* query = fx.queries.Row(static_cast<idx_t>(q));
+    const auto a = searcher
+                       .TrySearch(query, 10, options, &ws, nullptr, nullptr,
+                                  &degraded_a)
+                       .value();
+    const auto b = searcher
+                       .TrySearch(query, 10, options, &ws, nullptr, nullptr,
+                                  &degraded_b)
+                       .value();
     EXPECT_TRUE(SameResults(a, b)) << "query " << q;
     EXPECT_EQ(degraded_a, degraded_b) << "query " << q;
   }
@@ -153,8 +166,10 @@ TEST(DeadlineBudget, WallClockDeadlineTerminates) {
   SongWorkspace ws;
   bool degraded = false;
   SearchStats stats;
-  const auto result = searcher.Search(fx.queries.Row(0), 10, options, &ws,
-                                      &stats, nullptr, &degraded);
+  const auto result = searcher
+                          .TrySearch(fx.queries.Row(0), 10, options, &ws,
+                                     &stats, nullptr, &degraded)
+                          .value();
   // The first iteration may finish under 1us on a fast machine, but the
   // search must terminate promptly and report consistently either way.
   EXPECT_EQ(degraded, stats.budget_terminations == 1);
@@ -190,7 +205,7 @@ TEST(DeadlineBudget, BatchWithoutBudgetsReportsNoDegradation) {
   BatchEngine engine(&searcher, 2);
   SongSearchOptions options;
   options.queue_size = 64;
-  const BatchResult batch = engine.Search(fx.queries, 10, options);
+  const BatchResult batch = engine.TrySearch(fx.queries, 10, options).value();
   EXPECT_EQ(batch.queries_degraded, 0u);
   EXPECT_EQ(batch.queries_rejected, 0u);
   EXPECT_EQ(batch.stats.budget_terminations, 0u);

@@ -74,7 +74,8 @@ TEST(Mips, MobiusGraphReachesGoodRecall) {
   std::vector<std::vector<idx_t>> ids(nq);
   for (size_t q = 0; q < nq; ++q) {
     const auto found =
-        searcher.Search(users.Row(static_cast<idx_t>(q)), 10, options, &ws);
+        searcher.TrySearch(users.Row(static_cast<idx_t>(q)), 10, options, &ws)
+            .value();
     for (const Neighbor& n : found) ids[q].push_back(n.id);
   }
   EXPECT_GE(MeanRecallAtK(ids, truth, 10), 0.7);

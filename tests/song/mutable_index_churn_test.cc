@@ -40,7 +40,7 @@ double RecallVsOracle(const IndexSnapshot& snapshot,
     const float* query = queries.Row(static_cast<idx_t>(q));
     const std::vector<Neighbor> truth = oracle.TopK(query, kK);
     const std::vector<Neighbor> got =
-        snapshot.Search(query, kK, options, &ws);
+        snapshot.TrySearch(query, kK, options, &ws).value();
     for (const Neighbor& n : got) {
       for (const Neighbor& t : truth) {
         if (n.id == t.id) {

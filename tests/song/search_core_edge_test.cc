@@ -24,12 +24,27 @@ Dataset MakePoints(const std::vector<std::vector<float>>& rows) {
   return data;
 }
 
+/// Runs SongSearchCore directly with exact L2 distances from vertex 0. For
+/// the cases SongSearcher::TrySearch rightly refuses (k larger than the
+/// dataset), where the core itself must still return what it reaches.
+std::vector<Neighbor> CoreSearch(const Dataset& data,
+                                 const FixedDegreeGraph& graph,
+                                 const float* query, size_t k,
+                                 const SongSearchOptions& options) {
+  SongWorkspace ws;
+  const auto distance = [&](idx_t v) {
+    return L2Sqr(query, data.Row(v), data.dim());
+  };
+  return SongSearchCore(graph, /*entry=*/0, data.num(),
+                        data.dim() * sizeof(float), distance, k, options, &ws,
+                        /*stats=*/nullptr);
+}
+
 TEST(SearchCoreEdge, SinglePointDataset) {
   Dataset data = MakePoints({{1.0f, 2.0f}});
   FixedDegreeGraph graph(1, 4);
-  SongSearcher searcher(&data, &graph, Metric::kL2);
   const float query[2] = {0.0f, 0.0f};
-  const auto result = searcher.Search(query, 5, {});
+  const auto result = CoreSearch(data, graph, query, 5, {});
   ASSERT_EQ(result.size(), 1u);
   EXPECT_EQ(result[0].id, 0u);
   EXPECT_FLOAT_EQ(result[0].dist, 5.0f);
@@ -42,7 +57,8 @@ TEST(SearchCoreEdge, TwoPointsLinked) {
   graph.SetNeighbors(1, {0});
   SongSearcher searcher(&data, &graph, Metric::kL2);
   const float query[1] = {9.0f};
-  const auto result = searcher.Search(query, 2, {});
+  SongWorkspace ws;
+  const auto result = searcher.TrySearch(query, 2, {}, &ws).value();
   ASSERT_EQ(result.size(), 2u);
   EXPECT_EQ(result[0].id, 1u);
   EXPECT_EQ(result[1].id, 0u);
@@ -60,7 +76,8 @@ TEST(SearchCoreEdge, AllIdenticalPointsTerminates) {
   SongSearchOptions options = SongSearchOptions::HashTableSelDel();
   options.queue_size = 16;
   const float query[3] = {0.0f, 0.0f, 0.0f};
-  const auto result = searcher.Search(query, 10, options);
+  SongWorkspace ws;
+  const auto result = searcher.TrySearch(query, 10, options, &ws).value();
   ASSERT_LE(result.size(), 10u);
   std::set<idx_t> ids;
   for (const Neighbor& n : result) {
@@ -84,7 +101,9 @@ TEST(SearchCoreEdge, QueueSizeOneStillWorks) {
   SongSearcher searcher(&gen.points, &graph, Metric::kL2);
   SongSearchOptions options;
   options.queue_size = 1;
-  const auto result = searcher.Search(gen.queries.Row(0), 1, options);
+  SongWorkspace ws;
+  const auto result =
+      searcher.TrySearch(gen.queries.Row(0), 1, options, &ws).value();
   ASSERT_EQ(result.size(), 1u);  // ef clamps to k=1: pure greedy descent
 }
 
@@ -102,7 +121,9 @@ TEST(SearchCoreEdge, KEqualsDatasetSizeReturnsEverythingReachable) {
   SongSearcher searcher(&gen.points, &graph, Metric::kL2);
   SongSearchOptions options;
   options.queue_size = 100;
-  const auto result = searcher.Search(gen.queries.Row(0), 50, options);
+  SongWorkspace ws;
+  const auto result =
+      searcher.TrySearch(gen.queries.Row(0), 50, options, &ws).value();
   EXPECT_EQ(result.size(), 50u);
   std::set<idx_t> ids;
   for (const Neighbor& n : result) ids.insert(n.id);
@@ -124,7 +145,8 @@ TEST(SearchCoreEdge, DisconnectedComponentIsInvisible) {
   SongSearchOptions options;
   options.queue_size = 16;
   const float query[1] = {100.0f};  // true NN is in the island
-  const auto result = searcher.Search(query, 2, options);
+  SongWorkspace ws;
+  const auto result = searcher.TrySearch(query, 2, options, &ws).value();
   ASSERT_EQ(result.size(), 2u);
   for (const Neighbor& n : result) EXPECT_LT(n.id, 4u);
 }
@@ -147,10 +169,12 @@ TEST(SearchCoreEdge, TinyHashCapacityDegradesGracefully) {
   options.queue_size = 64;
   options.hash_capacity = 8;  // absurd
   SearchStats stats;
+  SongWorkspace ws;
   for (size_t q = 0; q < gen.queries.num(); ++q) {
-    const auto result =
-        searcher.Search(gen.queries.Row(static_cast<idx_t>(q)), 5, options,
-                        &stats);
+    const auto result = searcher
+                            .TrySearch(gen.queries.Row(static_cast<idx_t>(q)),
+                                       5, options, &ws, &stats)
+                            .value();
     EXPECT_LE(result.size(), 5u);
   }
   EXPECT_GT(stats.visited_insert_failures, 0u);
@@ -171,7 +195,9 @@ TEST(SearchCoreEdge, TinyBloomFilterStillNoCrashLowRecall) {
   SongSearchOptions options = SongSearchOptions::Bloom();
   options.queue_size = 64;
   options.bloom_bits = 64;  // saturates almost immediately
-  const auto result = searcher.Search(gen.queries.Row(0), 5, options);
+  SongWorkspace ws;
+  const auto result =
+      searcher.TrySearch(gen.queries.Row(0), 5, options, &ws).value();
   // False positives prune the search; results may be short but valid.
   for (size_t i = 1; i < result.size(); ++i) {
     EXPECT_LE(result[i - 1].dist, result[i].dist);
@@ -183,7 +209,8 @@ TEST(SearchCoreEdge, ZeroDegreeEntryReturnsJustEntry) {
   FixedDegreeGraph graph(3, 2);  // no edges at all
   SongSearcher searcher(&data, &graph, Metric::kL2);
   const float query[1] = {1.5f};
-  const auto result = searcher.Search(query, 3, {});
+  SongWorkspace ws;
+  const auto result = searcher.TrySearch(query, 3, {}, &ws).value();
   ASSERT_EQ(result.size(), 1u);
   EXPECT_EQ(result[0].id, 0u);
 }
@@ -210,7 +237,7 @@ TEST(SearchCoreEdge, RepeatedSearchesReuseWorkspaceCleanly) {
         (q % 2 == 0) ? SongSearchOptions::HashTableSelDel()
                      : SongSearchOptions::Cuckoo();
     options.queue_size = (q % 3 == 0) ? 32 : 96;
-    const auto result = searcher.Search(query, 5, options, &ws);
+    const auto result = searcher.TrySearch(query, 5, options, &ws).value();
     ASSERT_FALSE(result.empty());
     for (size_t i = 1; i < result.size(); ++i) {
       EXPECT_LE(result[i - 1].dist, result[i].dist);
@@ -238,7 +265,9 @@ TEST(SearchCoreEdge, MultiStepLargerThanQueueIsSafe) {
   SongSearchOptions options;
   options.queue_size = 8;
   options.multi_step_probe = 64;  // far larger than the queue
-  const auto result = searcher.Search(gen.queries.Row(0), 5, options);
+  SongWorkspace ws;
+  const auto result =
+      searcher.TrySearch(gen.queries.Row(0), 5, options, &ws).value();
   EXPECT_FALSE(result.empty());
 }
 

@@ -67,8 +67,7 @@ TEST(SnapshotIsolation, FrozenAdoptionIsStrictNoOpOverSongSearcher) {
   EXPECT_EQ(snapshot->CompensatedK(7), 7u);
 
   const SongSearcher plain(&gen.points, &graph, Metric::kL2);
-  SongWorkspace ws_a;
-  SongWorkspace ws_b;
+  SongWorkspace ws;
   const SongSearchOptions presets[] = {
       SongSearchOptions{}, SongSearchOptions::HashTableSelDel(),
       SongSearchOptions::CpuEngineered()};
@@ -76,9 +75,11 @@ TEST(SnapshotIsolation, FrozenAdoptionIsStrictNoOpOverSongSearcher) {
     for (size_t q = 0; q < gen.queries.num(); ++q) {
       const float* query = gen.queries.Row(static_cast<idx_t>(q));
       const std::vector<Neighbor> via_snapshot =
-          snapshot->Search(query, 10, options, &ws_a);
+          snapshot->TrySearch(query, 10, options, &ws).value();
+      // The reference runs on a fresh workspace per query.
+      SongWorkspace fresh;
       const std::vector<Neighbor> via_searcher =
-          plain.Search(query, 10, options, &ws_b);
+          plain.TrySearch(query, 10, options, &fresh).value();
       ASSERT_TRUE(SameNeighbors(via_snapshot, via_searcher))
           << "frozen snapshot diverged from plain searcher at query " << q;
     }
@@ -102,7 +103,8 @@ TEST(SnapshotIsolation, PinnedVersionIsImmutableAcrossWriterPublishes) {
   std::vector<std::vector<Neighbor>> before;
   for (size_t q = 0; q < 10; ++q) {
     queries.push_back(RandomPoint(rng, kDim));
-    before.push_back(pinned->Search(queries.back().data(), 5, options, &ws));
+    before.push_back(
+        pinned->TrySearch(queries.back().data(), 5, options, &ws).value());
     ASSERT_FALSE(before.back().empty());
   }
 
@@ -118,7 +120,7 @@ TEST(SnapshotIsolation, PinnedVersionIsImmutableAcrossWriterPublishes) {
 
   for (size_t q = 0; q < queries.size(); ++q) {
     const std::vector<Neighbor> after =
-        pinned->Search(queries[q].data(), 5, options, &ws);
+        pinned->TrySearch(queries[q].data(), 5, options, &ws).value();
     EXPECT_TRUE(SameNeighbors(before[q], after))
         << "pinned snapshot result drifted at query " << q;
     // The pinned view still considers every returned id live even though
@@ -159,7 +161,8 @@ TEST(SnapshotIsolation, RetiredVersionSurvivesWhilePinnedAndFreesAfter) {
   EXPECT_EQ(pinned->version(), pinned_version);
   EXPECT_EQ(pinned->num_points(), 24u);
   const std::vector<float> q = RandomPoint(rng, kDim);
-  const std::vector<Neighbor> got = pinned->Search(q.data(), 3, options, &ws);
+  const std::vector<Neighbor> got =
+      pinned->TrySearch(q.data(), 3, options, &ws).value();
   ASSERT_FALSE(got.empty());
   for (const Neighbor& n : got) {
     EXPECT_TRUE(std::isfinite(pinned->data().Row(n.id)[0]));
@@ -246,7 +249,8 @@ TEST(SnapshotIsolation, SearchCapsKAtLivePointsAndFiltersTombstones) {
   const std::vector<float> q = RandomPoint(rng, kDim);
   // Ask for more neighbors than live points: served, capped, and free of
   // tombstones.
-  const std::vector<Neighbor> got = snapshot->Search(q.data(), 50, options, &ws);
+  const std::vector<Neighbor> got =
+      snapshot->TrySearch(q.data(), 50, options, &ws).value();
   EXPECT_EQ(got.size(), 6u);
   for (const Neighbor& n : got) {
     EXPECT_TRUE(snapshot->IsLive(n.id));

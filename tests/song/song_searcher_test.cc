@@ -55,10 +55,9 @@ double MeasureRecall(const SongSearchOptions& options, size_t k = 10) {
   SongWorkspace ws;
   std::vector<std::vector<idx_t>> results(fx.queries.num());
   for (size_t q = 0; q < fx.queries.num(); ++q) {
-    const auto found =
-        searcher.Search(fx.queries.Row(static_cast<idx_t>(q)), k, options,
-                        &ws);
-    for (const Neighbor& n : found) results[q].push_back(n.id);
+    const auto found = searcher.TrySearch(
+        fx.queries.Row(static_cast<idx_t>(q)), k, options, &ws);
+    for (const Neighbor& n : found.value()) results[q].push_back(n.id);
   }
   return MeanRecallAtK(results, fx.ground_truth, k);
 }
@@ -68,7 +67,9 @@ TEST(SongSearcher, ReturnsSortedResults) {
   SongSearcher searcher(&fx.data, &fx.graph, Metric::kL2);
   SongSearchOptions options;
   options.queue_size = 32;
-  const auto result = searcher.Search(fx.queries.Row(0), 10, options);
+  SongWorkspace ws;
+  const auto result =
+      searcher.TrySearch(fx.queries.Row(0), 10, options, &ws).value();
   ASSERT_LE(result.size(), 10u);
   ASSERT_GE(result.size(), 1u);
   for (size_t i = 1; i < result.size(); ++i) {
@@ -81,9 +82,12 @@ TEST(SongSearcher, NoDuplicateResults) {
   SongSearcher searcher(&fx.data, &fx.graph, Metric::kL2);
   SongSearchOptions options;
   options.queue_size = 64;
+  SongWorkspace ws;
   for (size_t q = 0; q < 10; ++q) {
-    const auto result =
-        searcher.Search(fx.queries.Row(static_cast<idx_t>(q)), 10, options);
+    const auto result = searcher
+                            .TrySearch(fx.queries.Row(static_cast<idx_t>(q)),
+                                       10, options, &ws)
+                            .value();
     std::vector<idx_t> ids;
     for (const Neighbor& n : result) ids.push_back(n.id);
     std::sort(ids.begin(), ids.end());
@@ -95,7 +99,9 @@ TEST(SongSearcher, DistancesAreExact) {
   const Fixture& fx = Fixture::Get();
   SongSearcher searcher(&fx.data, &fx.graph, Metric::kL2);
   SongSearchOptions options;
-  const auto result = searcher.Search(fx.queries.Row(3), 5, options);
+  SongWorkspace ws;
+  const auto result =
+      searcher.TrySearch(fx.queries.Row(3), 5, options, &ws).value();
   for (const Neighbor& n : result) {
     const float expect =
         L2Sqr(fx.queries.Row(3), fx.data.Row(n.id), fx.data.dim());
@@ -112,9 +118,10 @@ TEST(SongSearcher, MatchesReferenceGraphSearch) {
   SongSearchOptions options;
   options.queue_size = 64;
   VisitedBuffer visited;
+  SongWorkspace ws;
   for (size_t q = 0; q < fx.queries.num(); ++q) {
     const float* query = fx.queries.Row(static_cast<idx_t>(q));
-    const auto song = searcher.Search(query, 10, options);
+    const auto song = searcher.TrySearch(query, 10, options, &ws).value();
     const auto ref = GraphSearch(fx.data, Metric::kL2, fx.graph, 0, query,
                                  64, 10, &visited);
     ASSERT_EQ(song.size(), ref.size());
@@ -160,9 +167,12 @@ TEST_P(SearcherConfigTest, ResultsSortedAndUnique) {
   SongSearcher searcher(&fx.data, &fx.graph, Metric::kL2);
   SongSearchOptions options = GetParam().options;
   options.queue_size = 48;
+  SongWorkspace ws;
   for (size_t q = 0; q < 8; ++q) {
-    const auto result =
-        searcher.Search(fx.queries.Row(static_cast<idx_t>(q)), 10, options);
+    const auto result = searcher
+                            .TrySearch(fx.queries.Row(static_cast<idx_t>(q)),
+                                       10, options, &ws)
+                            .value();
     for (size_t i = 1; i < result.size(); ++i) {
       EXPECT_LE(result[i - 1].dist, result[i].dist);
     }
@@ -175,7 +185,9 @@ TEST_P(SearcherConfigTest, StatsAreConsistent) {
   SongSearchOptions options = GetParam().options;
   options.queue_size = 64;
   SearchStats stats;
-  searcher.Search(fx.queries.Row(0), 10, options, &stats);
+  SongWorkspace ws;
+  ASSERT_TRUE(
+      searcher.TrySearch(fx.queries.Row(0), 10, options, &ws, &stats).ok());
   EXPECT_GT(stats.iterations, 0u);
   EXPECT_GT(stats.distance_computations, 0u);
   EXPECT_EQ(stats.graph_rows_loaded, stats.vertices_expanded);
@@ -205,10 +217,11 @@ TEST(SongSearcherOptimizations, SelectedInsertionShrinksVisitedSet) {
   SongSearchOptions sel = SongSearchOptions::HashTableSel();
   plain.queue_size = sel.queue_size = 64;
   SearchStats plain_stats, sel_stats;
+  SongWorkspace ws;
   for (size_t q = 0; q < fx.queries.num(); ++q) {
     const float* query = fx.queries.Row(static_cast<idx_t>(q));
-    searcher.Search(query, 10, plain, &plain_stats);
-    searcher.Search(query, 10, sel, &sel_stats);
+    ASSERT_TRUE(searcher.TrySearch(query, 10, plain, &ws, &plain_stats).ok());
+    ASSERT_TRUE(searcher.TrySearch(query, 10, sel, &ws, &sel_stats).ok());
   }
   // §IV-D: fewer insertions, possibly more (recomputed) distances.
   EXPECT_LT(sel_stats.visited_insertions, plain_stats.visited_insertions);
@@ -223,9 +236,12 @@ TEST(SongSearcherOptimizations, VisitedDeletionBoundsLiveEntries) {
   SongSearchOptions options = SongSearchOptions::HashTableSelDel();
   options.queue_size = 32;
   SearchStats stats;
+  SongWorkspace ws;
   for (size_t q = 0; q < fx.queries.num(); ++q) {
-    searcher.Search(fx.queries.Row(static_cast<idx_t>(q)), 10, options,
-                    &stats);
+    ASSERT_TRUE(searcher
+                    .TrySearch(fx.queries.Row(static_cast<idx_t>(q)), 10,
+                               options, &ws, &stats)
+                    .ok());
   }
   // §IV-E: visited = q ∪ topk, each bounded by queue_size.
   EXPECT_LE(stats.peak_visited_size, 2 * options.queue_size + 1);
@@ -239,8 +255,13 @@ TEST(SongSearcherOptimizations, SelDelUsesLessVisitedMemoryThanPlain) {
   SongSearchOptions seldel = SongSearchOptions::HashTableSelDel();
   plain.queue_size = seldel.queue_size = 64;
   SearchStats plain_stats, seldel_stats;
-  searcher.Search(fx.queries.Row(0), 10, plain, &plain_stats);
-  searcher.Search(fx.queries.Row(0), 10, seldel, &seldel_stats);
+  SongWorkspace ws;
+  ASSERT_TRUE(
+      searcher.TrySearch(fx.queries.Row(0), 10, plain, &ws, &plain_stats)
+          .ok());
+  ASSERT_TRUE(
+      searcher.TrySearch(fx.queries.Row(0), 10, seldel, &ws, &seldel_stats)
+          .ok());
   EXPECT_LT(seldel_stats.visited_capacity_bytes,
             plain_stats.visited_capacity_bytes);
 }
@@ -251,7 +272,9 @@ TEST(SongSearcherOptimizations, BloomUsesConstantSmallMemory) {
   SongSearchOptions bloom = SongSearchOptions::Bloom();
   bloom.queue_size = 256;
   SearchStats stats;
-  searcher.Search(fx.queries.Row(0), 10, bloom, &stats);
+  SongWorkspace ws;
+  ASSERT_TRUE(
+      searcher.TrySearch(fx.queries.Row(0), 10, bloom, &ws, &stats).ok());
   // Paper: ~300 u32 (1.2 KB); ours rounds to u64 words.
   EXPECT_LE(stats.visited_capacity_bytes, 2048u);
 }
@@ -274,7 +297,9 @@ TEST_P(MultiStepTest, MoreStepsDoNotReduceWorkPerIteration) {
   options.queue_size = 64;
   options.multi_step_probe = GetParam();
   SearchStats stats;
-  searcher.Search(fx.queries.Row(0), 10, options, &stats);
+  SongWorkspace ws;
+  ASSERT_TRUE(
+      searcher.TrySearch(fx.queries.Row(0), 10, options, &ws, &stats).ok());
   EXPECT_LE(stats.iterations, stats.vertices_expanded + 1);
 }
 
@@ -289,9 +314,11 @@ TEST(SongSearcher, MultiStepReducesIterations) {
   SongSearchOptions four = one;
   four.multi_step_probe = 4;
   SearchStats s1, s4;
+  SongWorkspace ws;
   for (size_t q = 0; q < fx.queries.num(); ++q) {
-    searcher.Search(fx.queries.Row(static_cast<idx_t>(q)), 10, one, &s1);
-    searcher.Search(fx.queries.Row(static_cast<idx_t>(q)), 10, four, &s4);
+    const float* query = fx.queries.Row(static_cast<idx_t>(q));
+    ASSERT_TRUE(searcher.TrySearch(query, 10, one, &ws, &s1).ok());
+    ASSERT_TRUE(searcher.TrySearch(query, 10, four, &ws, &s4).ok());
   }
   EXPECT_LT(s4.iterations, s1.iterations);
   // §V: extra probes waste distance computations on suboptimal candidates.
@@ -303,7 +330,9 @@ TEST(SongSearcher, KLargerThanQueueSizeIsClamped) {
   SongSearcher searcher(&fx.data, &fx.graph, Metric::kL2);
   SongSearchOptions options;
   options.queue_size = 4;  // < k
-  const auto result = searcher.Search(fx.queries.Row(0), 20, options);
+  SongWorkspace ws;
+  const auto result =
+      searcher.TrySearch(fx.queries.Row(0), 20, options, &ws).value();
   EXPECT_LE(result.size(), 20u);
   EXPECT_GE(result.size(), 10u);  // ef clamped up to k=20
 }
@@ -314,7 +343,9 @@ TEST(SongSearcher, EntryPointIsConfigurable) {
   SongSearcher searcher(&fx.data, &fx.graph, Metric::kL2, entry);
   SongSearchOptions options;
   options.queue_size = 96;
-  const auto result = searcher.Search(fx.queries.Row(0), 10, options);
+  SongWorkspace ws;
+  const auto result =
+      searcher.TrySearch(fx.queries.Row(0), 10, options, &ws).value();
   EXPECT_FALSE(result.empty());
 }
 
@@ -328,7 +359,9 @@ TEST(SongSearcher, WorksWithInnerProductMetric) {
   SongSearcher searcher(&fx.data, &ip_graph, Metric::kInnerProduct);
   SongSearchOptions options;
   options.queue_size = 64;
-  const auto result = searcher.Search(fx.queries.Row(0), 5, options);
+  SongWorkspace ws;
+  const auto result =
+      searcher.TrySearch(fx.queries.Row(0), 5, options, &ws).value();
   ASSERT_FALSE(result.empty());
   for (size_t i = 1; i < result.size(); ++i) {
     EXPECT_LE(result[i - 1].dist, result[i].dist);

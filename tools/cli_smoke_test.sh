@@ -84,6 +84,8 @@ expect_fail 2 "non-negative integer" -- search --data "$DIR/data.sngd" \
       --graph "$DIR/graph.sngg" --queries "$DIR/q.sngd" --k banana
 expect_fail 2 "requires --fault-spec" -- search --data "$DIR/data.sngd" \
       --graph "$DIR/graph.sngg" --queries "$DIR/q.sngd" --fault-seed 7
+expect_fail 2 "requires --mutate-spec" -- search --data "$DIR/data.sngd" \
+      --graph "$DIR/graph.sngg" --queries "$DIR/q.sngd" --max-inflight 4
 # Junk in a real-valued or trace-sampling flag is a usage error too, never
 # a silent full-size preset or silently disabled tracing.
 expect_fail 2 "flag --scale expects a number" -- gen --preset sift \

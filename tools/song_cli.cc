@@ -15,9 +15,9 @@
 //                     [--metrics out.prom] [--metrics-json out.json]
 //                     [--trace out.trace.json] [--trace-sample 100]
 //                     [--deadline-us N] [--cost-budget N]
-//                     [--max-inflight N]
 //                     [--fault-spec spec] [--fault-seed N]
-//                     [--mutate-spec rounds=R,inserts=I,deletes=D[,seed=S]]
+//                     [--mutate-spec rounds=R,inserts=I,deletes=D[,seed=S]
+//                      [--max-inflight N]]
 //                     [--pq m=<M>[,rerank=<R>][,save=<path>][,load=<path>]]
 //                     [--statusz out.json] [--flight-recorder out.json]
 //   song_cli version  (build info: SIMD tiers detected/compiled/active)
@@ -38,10 +38,9 @@
 //
 // Robustness (docs/robustness.md): --deadline-us / --cost-budget cap each
 // query's work, returning best-so-far results tagged degraded;
-// --max-inflight sheds batches past the limit; --fault-spec arms the
-// deterministic fault registry (site=prob[@max],... — see
-// core/fault_injection.h). Errors never raise exceptions: malformed flags
-// exit 2, corrupt or missing inputs exit 1 with a Status diagnostic.
+// --fault-spec arms the deterministic fault registry (site=prob[@max],...
+// — see core/fault_injection.h). Errors never raise exceptions: malformed
+// flags exit 2, corrupt or missing inputs exit 1 with a Status diagnostic.
 //
 // Telemetry: --metrics / --metrics-json dump the batch's MetricsRegistry in
 // Prometheus text / JSON. --trace writes sampled per-query Chrome trace_event
@@ -438,11 +437,9 @@ int RunMutateSearch(const Flags& flags, Dataset data, FixedDegreeGraph graph,
       index.retired_versions());
 
   // Serve the queries from the final snapshot; exact live-set scan for
-  // recall (the frozen --gt file is meaningless after mutation). Serving is
-  // concurrent: --max-inflight bounds the worker count, 0 = every core as on
-  // the plain path (there is no batch admission queue in this leg — each
-  // query is an independent request), so a request's queue stage is the
-  // time it waited for a worker slot.
+  // recall (the frozen --gt file is meaningless after mutation). Each query
+  // is an independent request on one of --max-inflight workers (0 = every
+  // core), so its queue stage is the time it waited for a worker slot.
   const std::string metrics_path = Optional(flags, "metrics", "");
   const std::string metrics_json_path = Optional(flags, "metrics-json", "");
   const std::string statusz_path = Optional(flags, "statusz", "");
@@ -613,6 +610,10 @@ int CmdSearch(const Flags& flags) {
     std::fprintf(stderr, "--fault-seed requires --fault-spec\n");
     return 2;
   }
+  if (flags.count("max-inflight") != 0 && flags.count("mutate-spec") == 0) {
+    std::fprintf(stderr, "--max-inflight requires --mutate-spec\n");
+    return 2;
+  }
 
   Dataset data = LoadDatasetOrDie(Require(flags, "data"));
   const Dataset queries = LoadDatasetOrDie(Require(flags, "queries"));
@@ -630,8 +631,6 @@ int CmdSearch(const Flags& flags) {
   options.reorder = ParseReorder(Optional(flags, "reorder", "none"));
   options.deadline_us = ParseUint(flags, "deadline-us", "0");
   options.cost_budget = ParseUint(flags, "cost-budget", "0");
-  BatchAdmission admission;
-  admission.max_inflight = ParseUint(flags, "max-inflight", "0");
 
   const std::string mutate_spec = Optional(flags, "mutate-spec", "");
   if (!mutate_spec.empty()) {
@@ -757,7 +756,7 @@ int CmdSearch(const Flags& flags) {
 
   StatusOr<SimulatedRun> run_or =
       TrySimulateBatch(searcher, queries, k, options, gpu, /*num_threads=*/0,
-                       telemetry, admission);
+                       telemetry);
   if (!run_or.ok()) {
     std::fprintf(stderr, "search failed: %s\n",
                  run_or.status().ToString().c_str());
